@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // simulator event throughput, metric synthesis, learner training, the
-// parallel ML training path (cross-validation, synopsis bank) and the
-// per-window online decision. The online numbers put hard bounds on the
-// paper's "no more than 50 ms for each on-line decision" claim for this
-// implementation.
+// parallel ML training path (cross-validation, synopsis bank), the
+// per-window online decision and the wire frame checksum. The online
+// numbers put hard bounds on the paper's "no more than 50 ms for each
+// on-line decision" claim for this implementation.
 //
 // Usage: bench_micro [--threads N] [google-benchmark flags]
 //   --threads N caps the util/parallel pool (default: hardware threads);
@@ -26,6 +26,7 @@
 #include "ml/evaluate.h"
 #include "ml/svm.h"
 #include "ml/tan.h"
+#include "net/protocol.h"
 #include "sim/event_queue.h"
 #include "sim/tier.h"
 #include "util/parallel.h"
@@ -293,6 +294,32 @@ void BM_CoordinatedDecisionMasked(benchmark::State& state) {
     benchmark::DoNotOptimize(monitor.observe_masked(rows, valid));
 }
 BENCHMARK(BM_CoordinatedDecisionMasked);
+
+void BM_Crc32(benchmark::State& state) {
+  // The v2 frame checksum over a frame body (header + payload, before its
+  // trailer). Arg 0: a 36-byte DECISION frame (32 B checksummed); Arg
+  // N > 0: an N-tick SAMPLE_BATCH at 2 tiers x 20 metrics (1 tick: 354 B,
+  // 64 ticks: 21018 B).
+  const auto ticks = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> frame;
+  if (ticks == 0) {
+    frame = net::encode_decision(net::DecisionFrame{});
+  } else {
+    net::SampleBatch batch;
+    batch.batch_seq = 1;
+    batch.ticks.resize(ticks);
+    for (auto& tick : batch.ticks)
+      tick.tiers.assign(2, net::TierSlot{true, std::vector<double>(20, 0.5)});
+    frame = net::encode_sample_batch(batch);
+  }
+  const std::span<const std::uint8_t> body(frame.data(),
+                                           frame.size() - net::kCrcSize);
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(body));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(body.size()));
+  state.SetLabel(std::to_string(body.size()) + " B");
+}
+BENCHMARK(BM_Crc32)->Arg(0)->Arg(1)->Arg(64);
 
 }  // namespace
 

@@ -26,24 +26,52 @@ void check_version(std::uint8_t version) {
                         std::to_string(version));
 }
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected IEEE polynomial. kCrcTables[0] is
+// the classic byte-at-a-time table; kCrcTables[k][i] is the CRC state of
+// byte i followed by k zero bytes, so one step folds 8 input bytes with 8
+// independent lookups instead of a chain of 8 dependent ones.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// Little-endian u32 assembled from bytes: no alignment or host-endianness
+// dependence (compilers fold it into one load on little-endian targets).
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xffu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -858,13 +886,8 @@ std::optional<FrameRef> FrameAssembler::next_ref() {
   if (pending.size() < total) return std::nullopt;
   if (trailer != 0) {
     const std::size_t body = kHeaderSize + header->payload_size;
-    const std::uint32_t want = crc32(pending.first(body));
-    std::uint32_t got = 0;
-    for (int i = 0; i < 4; ++i)
-      got |= static_cast<std::uint32_t>(pending[body +
-                                                static_cast<std::size_t>(i)])
-             << (8 * i);
-    if (want != got) malformed("frame checksum mismatch");
+    if (crc32(pending.first(body)) != load_le32(pending.data() + body))
+      malformed("frame checksum mismatch");
   }
   FrameRef frame;
   frame.version = header->version;

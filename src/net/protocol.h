@@ -140,7 +140,9 @@ class ProtocolError : public std::runtime_error {
 
 // CRC-32 (IEEE 802.3 / zlib polynomial, reflected) over `data`. The v2
 // frame trailer; exposed so tests and the chaos harness can forge or
-// verify frames byte-for-byte.
+// verify frames byte-for-byte. Computed slicing-by-8 (eight compile-time
+// tables, 8 bytes per step) in portable C++: no ISA flags or CPU dispatch,
+// same polynomial, init and final xor as the byte-at-a-time definition.
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
 
 struct FrameHeader {

@@ -565,9 +565,10 @@ void Server::handle_io(int fd, bool readable, bool writable) {
     return;
   }
 
-  // Deferred flush: every frame handled this wakeup enqueued its output
-  // without writing; one scatter-gather flush ships the lot. Re-find the
-  // fd first — a handler may have closed or doomed the connection.
+  // Deferred flush: ACKs and control replies enqueued this wakeup wait
+  // here and ship in one scatter-gather write. DECISION frames do not
+  // wait: flush_decisions flushes them itself. Re-find the fd first — a
+  // handler may have closed or doomed the connection.
   const auto fin = conns_.find(fd);
   if (fin == conns_.end()) return;
   flush_writes(*fin->second);

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -50,12 +51,9 @@ TEST(NetProtocol, GoldenHeaderLayoutV2CarriesCrcTrailer) {
                       0x00, 0x00,              // reserved
                       0x00, 0x00, 0x00, 0x00}; // payload_size
   EXPECT_EQ(Bytes(frame.begin(), frame.begin() + kHeaderSize), head);
-  // Little-endian CRC-32 over header + payload.
-  const std::uint32_t crc = crc32({frame.data(), kHeaderSize});
-  const Bytes trailer = {static_cast<std::uint8_t>(crc & 0xFF),
-                         static_cast<std::uint8_t>((crc >> 8) & 0xFF),
-                         static_cast<std::uint8_t>((crc >> 16) & 0xFF),
-                         static_cast<std::uint8_t>((crc >> 24) & 0xFF)};
+  // Little-endian CRC-32 over header + payload, pinned as literal bytes
+  // (zlib.crc32 of the 12 header bytes) so a wrong checksum cannot hide.
+  const Bytes trailer = {0x27, 0x46, 0x8d, 0xf5};
   EXPECT_EQ(Bytes(frame.end() - kCrcSize, frame.end()), trailer);
 }
 
@@ -65,6 +63,36 @@ TEST(NetProtocol, Crc32MatchesReferenceCheckValue) {
   const Bytes nine = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(nine), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0x00000000u);
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the definition the
+// table-driven kernel must reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(NetProtocol, Crc32MatchesBitwiseReference) {
+  // Every length 0-300 at every start offset 0-7 covers whole 8-byte
+  // blocks, each 0-7 byte tail, and unaligned starts.
+  std::mt19937 rng(20081);
+  Bytes buf(300 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + off, len);
+      ASSERT_EQ(crc32(s), crc32_bitwise(s))
+          << "offset " << off << " length " << len;
+    }
+  }
+  Bytes big(64 * 1024);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng());
+  EXPECT_EQ(crc32(big), crc32_bitwise(big));
 }
 
 TEST(NetProtocol, GoldenHelloRequestBytesV1) {
@@ -106,10 +134,9 @@ TEST(NetProtocol, GoldenHelloRequestBytesV2) {
   };
   ASSERT_EQ(frame.size(), body.size() + kCrcSize);
   EXPECT_EQ(Bytes(frame.begin(), frame.end() - kCrcSize), body);
-  const std::uint32_t crc = crc32({frame.data(), body.size()});
-  EXPECT_EQ(frame[body.size() + 0], static_cast<std::uint8_t>(crc & 0xFF));
-  EXPECT_EQ(frame[body.size() + 3],
-            static_cast<std::uint8_t>((crc >> 24) & 0xFF));
+  // Little-endian zlib.crc32(body), pinned as literal bytes.
+  const Bytes trailer = {0x12, 0x25, 0x7c, 0x4e};
+  EXPECT_EQ(Bytes(frame.end() - kCrcSize, frame.end()), trailer);
 }
 
 TEST(NetProtocol, GoldenF64Encoding) {
@@ -559,31 +586,53 @@ TEST(NetProtocol, EverySingleByteFlipOnV2FrameIsDetected) {
   // The CRC trailer exists so silent corruption can never alter a value:
   // flip each byte of a v2 frame in turn and the assembler must reject
   // the frame (header validation or checksum mismatch — never a clean
-  // decode of damaged bytes).
+  // decode of damaged bytes). Two inputs: a 28-byte ACK, and an
+  // odd-length SAMPLE_BATCH (3 ticks x 3 tiers x dim 5, two missing slots:
+  // a 339-byte frame whose 335 checksummed bytes are 41 whole 8-byte
+  // blocks plus a 7-byte tail), so flips land in every lane of many
+  // blocks and in every tail position.
   AckFrame ack{0x1122334455667788ull, 42};
-  const Bytes good = encode_ack(ack, 2);
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    for (const std::uint8_t flip :
-         {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
-      Bytes bad = good;
-      bad[i] = static_cast<std::uint8_t>(bad[i] ^ flip);
-      FrameAssembler asm_;
-      asm_.append(bad.data(), bad.size());
-      bool rejected = false;
-      try {
-        while (auto f = asm_.next()) {
-          ADD_FAILURE() << "flipped byte " << i
-                        << " yielded a complete frame";
+  SampleBatch batch;
+  batch.batch_seq = 7;
+  batch.first_tick = 100;
+  batch.ticks.resize(3);
+  for (std::size_t t = 0; t < 3; ++t) {
+    batch.ticks[t].tiers.resize(3);
+    for (std::size_t k = 0; k < 3; ++k) {
+      auto& slot = batch.ticks[t].tiers[k];
+      slot.present = !((t == 1 && k == 2) || (t == 2 && k == 0));
+      if (!slot.present) continue;
+      for (int d = 0; d < 5; ++d)
+        slot.values.push_back(static_cast<double>(t * 100 + k * 10) + d);
+    }
+  }
+  const Bytes batch_frame = encode_sample_batch(batch, 2);
+  ASSERT_EQ(batch_frame.size(), 339u);
+  for (const Bytes& good : {encode_ack(ack, 2), batch_frame}) {
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      for (const std::uint8_t flip :
+           {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+        Bytes bad = good;
+        bad[i] = static_cast<std::uint8_t>(bad[i] ^ flip);
+        FrameAssembler asm_;
+        asm_.append(bad.data(), bad.size());
+        bool rejected = false;
+        try {
+          while (auto f = asm_.next()) {
+            ADD_FAILURE() << "flipped byte " << i << " of a " << good.size()
+                          << "-byte frame yielded a complete frame";
+          }
+        } catch (const ProtocolError&) {
+          rejected = true;
         }
-      } catch (const ProtocolError&) {
-        rejected = true;
-      }
-      // Growing the claimed payload length just leaves the assembler
-      // waiting for bytes that never come — also safe. Everything else
-      // must have thrown.
-      if (!rejected) {
-        EXPECT_GT(asm_.buffered(), 0u)
-            << "flipped byte " << i << " was silently accepted";
+        // Growing the claimed payload length just leaves the assembler
+        // waiting for bytes that never come — also safe. Everything else
+        // must have thrown.
+        if (!rejected) {
+          EXPECT_GT(asm_.buffered(), 0u)
+              << "flipped byte " << i << " of a " << good.size()
+              << "-byte frame was silently accepted";
+        }
       }
     }
   }
