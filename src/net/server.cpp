@@ -48,17 +48,19 @@ std::size_t level_dim(const std::string& level) {
   return 0;
 }
 
-// Windows accumulated in the block scratch before a predict_masked_many
-// flush. Bounds both decision latency within a giant SAMPLE_BATCH frame
-// and the number of DECISION frames queued between flushes (well under
-// the max_write_queue floor of 2... the default 256).
+// Windows accumulated in the block scratch before one predict_masked_many
+// call. A block that fills in the middle of a SAMPLE_BATCH is also a
+// flush point, which bounds decision latency within a giant frame; a
+// max_write_queue smaller than a block is handled by enqueue's
+// flush-before-shed.
 constexpr std::size_t kObserveBlock = 32;
-
-// Recycled outbound encode buffers kept per connection.
-constexpr std::size_t kSparePool = 8;
 
 // Frames covered by one scatter-gather ::sendmsg.
 constexpr std::size_t kMaxIov = 64;
+
+// Recycled outbound encode buffers kept per connection: one full
+// sendmsg's worth, so a wakeup's decisions + ACK never allocate.
+constexpr std::size_t kSparePool = kMaxIov;
 
 // Cadence of the cross-shard resume retry timer, and the slice of the
 // handshake budget a deferred resume may wait for its eviction to land.
@@ -565,10 +567,10 @@ void Server::handle_io(int fd, bool readable, bool writable) {
     return;
   }
 
-  // Deferred flush: ACKs and control replies enqueued this wakeup wait
-  // here and ship in one scatter-gather write. DECISION frames do not
-  // wait: flush_decisions flushes them itself. Re-find the fd first — a
-  // handler may have closed or doomed the connection.
+  // Deferred flush: every frame the handlers enqueued this wakeup —
+  // DECISIONs, ACKs, control replies — leaves here in one scatter-gather
+  // write. Re-find the fd first — a handler may have closed or doomed the
+  // connection.
   const auto fin = conns_.find(fd);
   if (fin == conns_.end()) return;
   flush_writes(*fin->second);
@@ -1057,7 +1059,12 @@ void Server::handle_batch(Connection& c,
     // connection (peer vanished mid-batch) — enqueue/flush no-op on a
     // doomed connection, and stopping midway would leave the session
     // state covering a fraction of a sequence number.
-    if (closed && ++s.block_windows == kObserveBlock) flush_decisions(c);
+    if (closed && ++s.block_windows == kObserveBlock) {
+      flush_decisions(c);
+      // Mid-frame: a giant frame's first blocks need not wait for its
+      // last. (The final block rides with the ACK in handle_io's flush.)
+      if (&tick != &batch.ticks.back()) flush_writes(c);
+    }
   }
   flush_decisions(c);
 
@@ -1382,7 +1389,6 @@ void Server::flush_decisions(Connection& c) {
       enqueue(c, FrameType::kDecision, std::move(buf));
     }
   }
-  flush_writes(c);
 }
 
 void Server::enqueue_ack(Connection& c) {
@@ -1391,12 +1397,14 @@ void Server::enqueue_ack(Connection& c) {
   AckFrame ack;
   ack.last_applied_seq = s.last_applied_seq;
   ack.next_window = s.window_index;
-  // Cumulative ACKs make stacked ones redundant: overwrite a queued,
-  // not-yet-started ACK in place instead of growing the queue.
-  for (auto it = c.write_queue.rbegin(); it != c.write_queue.rend(); ++it) {
-    if (it->type == FrameType::kAck && it->offset == 0) {
-      it->bytes.clear();
-      encode_ack_into(ack, it->bytes, s.version);
+  // Cumulative ACKs make stacked ones redundant: overwrite an unsent ACK
+  // at the queue tail in place. Only at the tail — an ACK further up
+  // sits ahead of decisions it must not claim.
+  if (!c.write_queue.empty()) {
+    Connection::OutFrame& tail = c.write_queue.back();
+    if (tail.type == FrameType::kAck && tail.offset == 0) {
+      tail.bytes.clear();
+      encode_ack_into(ack, tail.bytes, s.version);
       return;
     }
   }
@@ -1475,6 +1483,7 @@ StatsReply Server::build_stats() const {
       {"agg_subscribes", stats_.agg_subscribes},
       {"agg_windows_in", stats_.agg_windows_in},
       {"fleet_decisions", stats_.fleet_decisions},
+      {"write_calls", stats_.write_calls},
   };
   if (group_->ctrl) {
     util::MutexLock lock(&group_->ctrl_mu);
@@ -1616,6 +1625,14 @@ void Server::enqueue(Connection& c, FrameType type,
                      std::vector<std::uint8_t> frame) {
   if (c.doomed) return;
   if (c.close_after_flush && type == FrameType::kDecision) return;
+  // Flushes are deferred to the end of the wakeup, so a full queue may
+  // only be unsent, not unread: try the socket before shedding or
+  // dropping. (A closing connection skips this — draining its queue
+  // would doom it before this last reply is queued.)
+  if (c.write_queue.size() >= cfg_.max_write_queue && !c.close_after_flush) {
+    flush_writes(c);
+    if (c.doomed) return;
+  }
   if (c.write_queue.size() >= cfg_.max_write_queue) {
     // A resumable v2 session is promised exactly-once decision delivery,
     // and shedding on a connection that stays up would be a silent gap
@@ -1707,6 +1724,7 @@ void Server::flush_writes(Connection& c) {
     msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(n_iov);
     const ssize_t n = io::sendmsg_retry(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
+      ++stats_.write_calls;
       std::size_t left = static_cast<std::size_t>(n);
       while (left > 0) {
         Connection::OutFrame& front = c.write_queue.front();

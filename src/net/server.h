@@ -55,8 +55,9 @@
 // allocation after warmup), closed windows accumulate in a contiguous
 // WindowBlock scratch, and decisions for up to kObserveBlock windows are
 // computed in one CapacityMonitor::predict_masked_many call. Outbound
-// frames encode into recycled buffers and flush with one scatter-gather
-// ::sendmsg covering every queued frame.
+// frames encode into recycled buffers; handlers only enqueue, and a
+// connection's queued frames (a batch's DECISIONs and its ACK together)
+// leave in one scatter-gather ::sendmsg per event-loop wakeup.
 //
 // Decisions over the wire are bit-identical to the in-process pipeline on
 // the same stream: every session gets a private monitor instance (from
@@ -265,6 +266,7 @@ struct ServerStats {
   StatCounter agg_subscribes;
   StatCounter agg_windows_in;     // leaf VOTES windows merged
   StatCounter fleet_decisions;    // fleet windows decided by aggregation
+  StatCounter write_calls;        // ::sendmsg calls that moved bytes
 };
 
 class Server;
@@ -404,12 +406,13 @@ class Server {
                      std::uint8_t version);
   void handle_shutdown(Connection& c, std::uint8_t version);
   // Decides every window accumulated in the session's block scratch
-  // (one predict_masked_many call), records them in the replay ring,
-  // enqueues the DECISION frames, and flushes them in one scatter-gather
-  // write. In leaf mode also offers each window's GPV to the uplink.
+  // (one predict_masked_many call), records them in the replay ring and
+  // enqueues the DECISION frames; it does not flush. In leaf mode also
+  // offers each window's GPV to the uplink.
   void flush_decisions(Connection& c);
-  // Coalesced cumulative ACK: overwrites a still-unsent queued ACK
-  // instead of stacking new ones.
+  // Coalesced cumulative ACK: overwrites an unsent ACK at the queue tail
+  // instead of stacking a new one. Never one further up the queue — that
+  // ACK would then claim decisions still queued behind it.
   void enqueue_ack(Connection& c);
   // Resume replay pump: while the connection is replaying retained
   // decisions, tops the write queue up to a watermark from the ring.
@@ -420,9 +423,12 @@ class Server {
 
   // `frame` must be a full encoded frame. DECISION frames are sheddable;
   // everything else is control traffic and survives unless the queue is
-  // full of unread control frames, which dooms the connection. Does NOT
-  // flush: callers batch frames and flush once (handle_io flushes after
-  // the frame loop; flush_decisions flushes per window block).
+  // full of unread control frames, which dooms the connection. Callers
+  // batch frames and flush once; the flush points are (a) the end of
+  // handle_io, (b) a kObserveBlock decision block filling mid-batch,
+  // (c) here, when the queue is full, before anything is shed or
+  // dropped, and (d) paths that enqueue onto a connection other than the
+  // one being serviced (fleet delivery, mailbox and timer callbacks).
   void enqueue(Connection& c, FrameType type, std::vector<std::uint8_t> frame);
   // Neither enqueue nor flush_writes ever destroys the Connection —
   // frame handlers up the stack still hold references into it. A send

@@ -534,6 +534,41 @@ bool wait_for_disconnect(int fd, int timeout_ms) {
   return false;
 }
 
+// The next whole frame from `fd`, read through `in`; nullopt on EOF,
+// error or timeout.
+std::optional<net::Frame> next_frame(int fd, net::FrameAssembler& in,
+                                     int timeout_ms) {
+  std::uint8_t buf[4096];
+  int waited = 0;
+  for (;;) {
+    if (auto frame = in.next()) return frame;
+    if (waited >= timeout_ms) return std::nullopt;
+    pollfd p{fd, POLLIN, 0};
+    const int r = ::poll(&p, 1, 100);
+    waited += 100;
+    if (r <= 0) continue;
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return std::nullopt;
+    in.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+// A v2 agent on a raw socket that has completed its HELLO.
+int hello_v2(std::uint16_t port, net::FrameAssembler& in, int num_tiers,
+             std::uint16_t window) {
+  const int fd = connect_to(port, 0);
+  send_all(fd, net::encode_hello_request(
+                   {"raw-v2", "hpc", static_cast<std::uint16_t>(num_tiers),
+                    window}));
+  const auto reply = next_frame(fd, in, 5000);
+  EXPECT_TRUE(reply && reply->type == net::FrameType::kHello);
+  if (reply) {
+    EXPECT_TRUE(net::decode_hello_reply(reply->payload).accepted);
+  }
+  return fd;
+}
+
 }  // namespace raw
 
 TEST(NetLoopback, NonDrainingAgentShedsOldestDecisionsNotControlFrames) {
@@ -633,17 +668,27 @@ TEST(NetLoopback, ResumableSessionIsDroppedNotShedWhenItStopsDraining) {
     if (off < bytes.size()) break;
   }
 
-  // The daemon drops the peer as soon as the write queue fills.
-  EXPECT_TRUE(raw::wait_for_eof(fd, 20000))
-      << "daemon never dropped the non-draining resumable peer";
-  ::close(fd);
-
+  // The daemon drops the peer once the write queue fills. Watch for the
+  // drop through a second connection before touching this socket:
+  // reading it would drain the daemon's writes, and the queue fills only
+  // while nobody reads.
   net::Client observer;
   observer.connect("127.0.0.1", h.port());
   ASSERT_TRUE(observer
                   .hello({"observer", "hpc",
                           static_cast<std::uint16_t>(cfg.num_tiers), 1})
                   .accepted);
+  for (int i = 0; i < 400; ++i) {
+    if (observer.stats().value("sessions_detached") > 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  // The daemon may still hold batches of ours it never read, and closing
+  // a socket with unread input sends RST: the drop can surface as
+  // ECONNRESET rather than EOF.
+  EXPECT_TRUE(raw::wait_for_disconnect(fd, 20000))
+      << "daemon never dropped the non-draining resumable peer";
+  ::close(fd);
+
   const auto stats = observer.stats();
   EXPECT_GE(stats.value("write_queue_overflows"), 1u);
   EXPECT_EQ(stats.value("decisions_shed"), 0u)
@@ -651,6 +696,39 @@ TEST(NetLoopback, ResumableSessionIsDroppedNotShedWhenItStopsDraining) {
   EXPECT_EQ(stats.value("sessions_detached"), 1u);
   EXPECT_EQ(stats.value("sessions_lingering"), 1u)
       << "the dropped session must be parked for resume, not destroyed";
+}
+
+// Flushes are deferred to the end of the wakeup, so one 32-window
+// decision block can queue more frames than max_write_queue holds. For a
+// peer that reads, that is no overflow: enqueue flushes before it sheds
+// or drops, and the resumable session keeps its connection.
+TEST(NetLoopback, DrainingV2SessionSurvivesBlockLargerThanWriteQueue) {
+  net::ServerConfig cfg = test_config();
+  cfg.max_write_queue = 8;
+  Harness h(core::MonitorSource::from_bytes(bundle_a()), cfg);
+
+  net::Client client;
+  client.connect("127.0.0.1", h.port());
+  ASSERT_TRUE(client
+                  .hello({"block-reader", "hpc",
+                          static_cast<std::uint16_t>(cfg.num_tiers), 1})
+                  .accepted);
+  ReferenceSession ref(h.source, cfg.num_tiers, 1, cfg);
+  SampleBatch batch;
+  batch.ticks = make_stream(cfg.num_tiers, 64, 0.0, 79);
+  for (const auto& tick : batch.ticks) ref.feed(tick);
+  client.send_batch(batch);
+  std::vector<DecisionFrame> wire;
+  try {
+    while (wire.size() < ref.decisions.size())
+      wire.push_back(client.next_decision());
+  } catch (const std::exception& e) {
+    FAIL() << "after " << wire.size() << " of 64 decisions: " << e.what();
+  }
+  expect_identical(wire, ref.decisions, "block larger than write queue");
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.value("write_queue_overflows"), 0u);
+  EXPECT_EQ(stats.value("sessions_detached"), 0u);
 }
 
 // A peer that streams control requests while never reading its socket
@@ -756,6 +834,103 @@ TEST(NetLoopback, PeerVanishingMidBatchLeavesServerHealthy) {
   while (wire.size() < ref.decisions.size())
     wire.push_back(after.next_decision());
   expect_identical(wire, ref.decisions, "post-vanish survivor");
+}
+
+// --- write coalescing -----------------------------------------------------
+
+// A SAMPLE_BATCH's DECISIONs and its ACK are queued by the same wakeup and
+// leave in one sendmsg. An observer reads the daemon's write_calls across
+// K batches sent one at a time: K writes, plus the observer's own first
+// STATS reply (the second is counted only after it is built).
+TEST(NetLoopback, BatchDecisionsAndAckShareOneWrite) {
+  constexpr int kBatches = 8;
+  constexpr int kTicks = 16;
+  constexpr std::uint16_t kWindow = 4;
+  const net::ServerConfig cfg = test_config();
+  Harness h(core::MonitorSource::from_bytes(bundle_a()), cfg);
+
+  net::FrameAssembler in;
+  const int fd = raw::hello_v2(h.port(), in, cfg.num_tiers, kWindow);
+  net::Client observer;
+  observer.connect("127.0.0.1", h.port());
+  const std::uint64_t before = observer.stats().value("write_calls");
+
+  const auto stream = make_stream(cfg.num_tiers, kBatches * kTicks, 0.0, 80);
+  std::uint32_t decisions = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    SampleBatch batch;
+    batch.batch_seq = static_cast<std::uint64_t>(b) + 1;
+    batch.first_tick = static_cast<std::uint32_t>(b * kTicks);
+    batch.ticks.assign(stream.begin() + b * kTicks,
+                       stream.begin() + (b + 1) * kTicks);
+    raw::send_all(fd, net::encode_sample_batch(batch));
+    for (;;) {
+      const auto frame = raw::next_frame(fd, in, 5000);
+      ASSERT_TRUE(frame) << "no ACK for batch " << batch.batch_seq;
+      if (frame->type == net::FrameType::kDecision) {
+        ++decisions;
+        continue;
+      }
+      ASSERT_EQ(frame->type, net::FrameType::kAck);
+      if (net::decode_ack(frame->payload).last_applied_seq ==
+          batch.batch_seq)
+        break;
+    }
+  }
+  EXPECT_EQ(decisions, static_cast<std::uint32_t>(kBatches * kTicks / kWindow));
+  const std::uint64_t after = observer.stats().value("write_calls");
+  EXPECT_EQ(after - before, static_cast<std::uint64_t>(kBatches) + 1)
+      << "each batch's decisions and ACK must share one sendmsg";
+  ::close(fd);
+}
+
+// With flushes deferred, several batches' DECISIONs and ACKs sit in one
+// queue. A cumulative ACK may only be coalesced with an unsent ACK at the
+// queue tail: folding it into an earlier one would deliver ACK(n) ahead
+// of batch n's decisions.
+TEST(NetLoopback, AcksNeverOvertakeTheirDecisions) {
+  constexpr int kBatches = 4;
+  constexpr int kTicks = 8;
+  constexpr std::uint16_t kWindow = 4;
+  const net::ServerConfig cfg = test_config();
+  Harness h(core::MonitorSource::from_bytes(bundle_a()), cfg);
+
+  net::FrameAssembler in;
+  const int fd = raw::hello_v2(h.port(), in, cfg.num_tiers, kWindow);
+  // All batches in one send, so one daemon recv carries several frames.
+  const auto stream = make_stream(cfg.num_tiers, kBatches * kTicks, 0.0, 81);
+  std::vector<std::uint8_t> burst;
+  for (int b = 0; b < kBatches; ++b) {
+    SampleBatch batch;
+    batch.batch_seq = static_cast<std::uint64_t>(b) + 1;
+    batch.first_tick = static_cast<std::uint32_t>(b * kTicks);
+    batch.ticks.assign(stream.begin() + b * kTicks,
+                       stream.begin() + (b + 1) * kTicks);
+    const auto bytes = net::encode_sample_batch(batch);
+    burst.insert(burst.end(), bytes.begin(), bytes.end());
+  }
+  raw::send_all(fd, burst);
+
+  std::uint32_t decisions = 0;
+  std::uint64_t last_seq = 0;
+  while (last_seq < static_cast<std::uint64_t>(kBatches)) {
+    const auto frame = raw::next_frame(fd, in, 5000);
+    ASSERT_TRUE(frame) << "stream ended at ACK seq " << last_seq;
+    if (frame->type == net::FrameType::kDecision) {
+      EXPECT_EQ(net::decode_decision(frame->payload).window_index, decisions);
+      ++decisions;
+      continue;
+    }
+    ASSERT_EQ(frame->type, net::FrameType::kAck);
+    const auto ack = net::decode_ack(frame->payload);
+    EXPECT_LE(ack.next_window, decisions)
+        << "ACK seq " << ack.last_applied_seq
+        << " claims decisions not yet delivered";
+    EXPECT_GT(ack.last_applied_seq, last_seq);
+    last_seq = ack.last_applied_seq;
+  }
+  EXPECT_EQ(decisions, static_cast<std::uint32_t>(kBatches * kTicks / kWindow));
+  ::close(fd);
 }
 
 // --- control-plane authorization ------------------------------------------
