@@ -291,11 +291,11 @@ struct ReactorResult {
 
 // The throughput workload against a ShardedServer: `agents` concurrent
 // connections each streaming the full stream at headline granularity.
-// kHandoff round-robin spreads the sessions evenly across the reactors
-// so a 2-reactor run genuinely exercises both loops even where
-// SO_REUSEPORT steering would clump; every session's decision stream
-// must equal the reference (per-session bit-identity is the sharding
-// contract, regardless of which reactor owns the connection).
+// Hand-off round-robin spreads the sessions evenly across the reactors,
+// so a 2-reactor run genuinely exercises both loops; every session's
+// decision stream must equal the reference (per-session bit-identity is
+// the sharding contract, regardless of which reactor owns the
+// connection).
 ReactorResult run_reactors(const std::string& bundle, std::size_t reactors,
                            int agents, const std::vector<net::Tick>& stream,
                            int batch_ticks, std::uint16_t window,
@@ -304,7 +304,6 @@ ReactorResult run_reactors(const std::string& bundle, std::size_t reactors,
   net::ServerConfig cfg;
   cfg.num_tiers = 2;
   cfg.reactors = reactors;
-  cfg.shard_mode = net::ShardMode::kHandoff;
   net::ShardedServer server(source, cfg);
   server.start();
   std::thread daemon([&server] { server.join(); });

@@ -1,13 +1,13 @@
 // In-process network chaos proxy for exercising the wire layer.
 //
 // The resilience story of hpcapd — reconnect with jittered backoff,
-// CRC-checked v2 frames, exactly-once session resume — is only worth
+// CRC-checked frames, exactly-once session resume — is only worth
 // claiming if it survives an actively hostile transport. ChaosProxy is a
 // thread-per-link TCP relay that sits between a net::Client and a
 // net::Server on loopback and injects the failure modes real networks
 // produce: connection resets mid-stream, stalls, partial writes that
 // shear frames at arbitrary byte boundaries, single-byte corruption
-// (caught by the v2 CRC trailer), short reads, and full-link partitions.
+// (caught by the CRC trailer), short reads, and full-link partitions.
 //
 // All faults are drawn from a seeded Rng — one stream per accepted link,
 // split from ChaosPlan::seed by the link's accept ordinal — so a failing

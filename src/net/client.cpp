@@ -51,7 +51,6 @@ Client::~Client() { close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
-      version_(other.version_),
       assembler_(std::move(other.assembler_)),
       decisions_(std::move(other.decisions_)),
       send_scratch_(std::move(other.send_scratch_)),
@@ -81,23 +80,7 @@ Client::Client(Client&& other) noexcept
   other.fd_ = -1;
 }
 
-void Client::set_protocol_version(std::uint8_t version) {
-  if (version < kMinProtocolVersion || version > kProtocolVersion)
-    throw std::invalid_argument("net::Client: unsupported protocol version " +
-                                std::to_string(version));
-  if (version < 2 && policy_.enabled())
-    throw std::invalid_argument(
-        "net::Client: a retry policy requires protocol v2");
-  if (fd_ >= 0)
-    throw std::invalid_argument(
-        "net::Client: cannot change protocol version while connected");
-  version_ = version;
-}
-
 void Client::set_retry_policy(const RetryPolicy& policy) {
-  if (policy.enabled() && version_ < 2)
-    throw std::invalid_argument(
-        "net::Client: a retry policy requires protocol v2");
   policy_ = policy;
 }
 
@@ -199,7 +182,7 @@ int Client::fill(double timeout_seconds) {
   // session and retransmits the pending batches, and daemon-side dedup
   // keeps delivery exactly-once.
   const bool watch_acks = policy_.enabled() && policy_.ack_timeout > 0.0 &&
-                          version_ >= 2 && !pending_.empty();
+                          !pending_.empty();
   if (watch_acks) {
     const double silent_left =
         policy_.ack_timeout - (io::monotonic_seconds() - last_rx_);
@@ -237,19 +220,17 @@ void Client::on_ack(const AckFrame& ack) {
 }
 
 void Client::on_decision(const DecisionFrame& d) {
-  if (version_ >= 2) {
-    if (d.window_index < next_window_) {
-      // A replayed window the client already delivered: exactly-once on
-      // the receive side is this drop.
-      ++deduped_decisions_;
-      return;
-    }
-    if (d.window_index > next_window_)
-      throw ProtocolError("net::Client: decision stream gap: got window " +
-                          std::to_string(d.window_index) + ", expected " +
-                          std::to_string(next_window_));
-    ++next_window_;
+  if (d.window_index < next_window_) {
+    // A replayed window the client already delivered: exactly-once on
+    // the receive side is this drop.
+    ++deduped_decisions_;
+    return;
   }
+  if (d.window_index > next_window_)
+    throw ProtocolError("net::Client: decision stream gap: got window " +
+                        std::to_string(d.window_index) + ", expected " +
+                        std::to_string(next_window_));
+  ++next_window_;
   decisions_.push_back(d);
 }
 
@@ -293,7 +274,7 @@ HelloReply Client::handshake(double timeout_seconds) {
     AggregateSubscribe areq = agg_req_;
     areq.resume_token = session_token_;
     areq.resume_from_window = next_window_;
-    send_all(encode_aggregate_subscribe(areq, version_));
+    send_all(encode_aggregate_subscribe(areq));
     const Frame aframe = await_frame(FrameType::kAggregate, timeout_seconds);
     if (peek_aggregate_kind(aframe.payload) !=
         AggregateKind::kSubscribeReply)
@@ -309,29 +290,25 @@ HelloReply Client::handshake(double timeout_seconds) {
     if (!rep.accepted) return rep;
   } else {
     HelloRequest req = hello_req_;
-    if (version_ >= 2) {
-      req.resume_token = session_token_;
-      req.resume_from_window = next_window_;
-    }
-    send_all(encode_hello_request(req, version_));
+    req.resume_token = session_token_;
+    req.resume_from_window = next_window_;
+    send_all(encode_hello_request(req));
     const Frame frame = await_frame(FrameType::kHello, timeout_seconds);
-    rep = decode_hello_reply(frame.payload, frame.version);
+    rep = decode_hello_reply(frame.payload);
     if (!rep.accepted) return rep;
   }
   hello_done_ = true;
   last_hello_reply_ = rep;
-  if (version_ >= 2) {
-    session_token_ = rep.session_token;
-    // The daemon's last-applied sequence is a cumulative ACK: prune the
-    // replay buffer to it, then retransmit whatever it has not applied.
-    AckFrame ack;
-    ack.last_applied_seq = rep.last_applied_seq;
-    on_ack(ack);
-    next_seq_ = std::max(next_seq_, rep.last_applied_seq + 1);
-    for (const PendingBatch& p : pending_) {
-      send_all(p.bytes);
-      ++replayed_batches_;
-    }
+  session_token_ = rep.session_token;
+  // The daemon's last-applied sequence is a cumulative ACK: prune the
+  // replay buffer to it, then retransmit whatever it has not applied.
+  AckFrame ack;
+  ack.last_applied_seq = rep.last_applied_seq;
+  on_ack(ack);
+  next_seq_ = std::max(next_seq_, rep.last_applied_seq + 1);
+  for (const PendingBatch& p : pending_) {
+    send_all(p.bytes);
+    ++replayed_batches_;
   }
   return rep;
 }
@@ -423,9 +400,6 @@ HelloReply Client::hello(const HelloRequest& req, double timeout_seconds) {
 
 AggregateSubscribeReply Client::aggregate_subscribe(
     const AggregateSubscribe& req, double timeout_seconds) {
-  if (version_ < 2)
-    throw std::invalid_argument(
-        "net::Client: aggregate sessions require protocol v2");
   aggregate_ = true;
   agg_req_ = req;
   hello_timeout_ = timeout_seconds;
@@ -452,16 +426,13 @@ AggregateSubscribeReply Client::aggregate_subscribe(
 }
 
 void Client::send_aggregate(AggregateBatch& batch) {
-  if (version_ < 2)
-    throw std::invalid_argument(
-        "net::Client: aggregate sessions require protocol v2");
   if (batch.agg_seq == 0) batch.agg_seq = next_seq_;
   next_seq_ = std::max(next_seq_, batch.agg_seq + 1);
   bool recorded = false;
   with_resilience([&] {
     ensure_pending_space();
     send_scratch_.clear();
-    encode_aggregate_batch_into(batch, send_scratch_, version_);
+    encode_aggregate_batch_into(batch, send_scratch_);
     if (!recorded) {
       PendingBatch p;
       p.seq = batch.agg_seq;
@@ -494,19 +465,17 @@ void Client::ensure_pending_space() {
 }
 
 void Client::send_batch(SampleBatch& batch) {
-  if (version_ >= 2) {
-    if (batch.batch_seq == 0) batch.batch_seq = next_seq_;
-    next_seq_ = std::max(next_seq_, batch.batch_seq + 1);
-  }
+  if (batch.batch_seq == 0) batch.batch_seq = next_seq_;
+  next_seq_ = std::max(next_seq_, batch.batch_seq + 1);
   bool recorded = false;
   with_resilience([&] {
-    if (version_ >= 2) ensure_pending_space();
+    ensure_pending_space();
     // Reuse one encode buffer across batches: after the first few sends
     // the scratch reaches its high-water capacity and the encode+write
     // path stops allocating.
     send_scratch_.clear();
-    encode_sample_batch_into(batch, send_scratch_, version_);
-    if (version_ >= 2 && !recorded) {
+    encode_sample_batch_into(batch, send_scratch_);
+    if (!recorded) {
       PendingBatch p;
       p.seq = batch.batch_seq;
       if (!pending_spares_.empty()) {
@@ -583,7 +552,7 @@ DecisionFrame Client::next_decision(double timeout_seconds) {
 
 StatsReply Client::stats(double timeout_seconds) {
   return with_resilience([&] {
-    send_all(encode_stats_request(version_));
+    send_all(encode_stats_request());
     const Frame frame = await_frame(FrameType::kStats, timeout_seconds);
     return decode_stats_reply(frame.payload);
   });
@@ -594,7 +563,7 @@ ReloadReply Client::reload(const std::string& path,
   return with_resilience([&] {
     ReloadRequest req;
     req.path = path;
-    send_all(encode_reload_request(req, version_));
+    send_all(encode_reload_request(req));
     const Frame frame = await_frame(FrameType::kReload, timeout_seconds);
     return decode_reload_reply(frame.payload);
   });
@@ -603,7 +572,7 @@ ReloadReply Client::reload(const std::string& path,
 void Client::shutdown_server(double timeout_seconds) {
   // Deliberately not resilient: re-sending SHUTDOWN to a daemon that is
   // already draining would race its exit.
-  send_all(encode_shutdown(version_));
+  send_all(encode_shutdown());
   (void)await_frame(FrameType::kShutdown, timeout_seconds);
 }
 

@@ -6,7 +6,7 @@
 // with control replies (the daemon streams decisions as windows close,
 // regardless of what else is in flight). Single-threaded use only.
 //
-// Resilience (protocol v2 + set_retry_policy): the client keeps every
+// Resilience (set_retry_policy): the client keeps every
 // SAMPLE_BATCH in a bounded replay buffer until the daemon's cumulative
 // ACK covers its sequence number. When the connection dies — reset, EOF,
 // checksum mismatch, garbage — any blocking operation transparently
@@ -67,14 +67,8 @@ class Client {
   Client& operator=(const Client&) = delete;
   Client(Client&& other) noexcept;
 
-  // Wire version this client speaks: 2 (default) or 1 for legacy peers.
-  // Must be set before connect(); v1 disables sequencing/ACK/resume.
-  void set_protocol_version(std::uint8_t version);
-  std::uint8_t protocol_version() const noexcept { return version_; }
-
   // Enables auto-reconnect + session resume on every blocking operation.
-  // Requires protocol v2 (exactly-once needs sequence numbers). Pass
-  // RetryPolicy::none() to disable again.
+  // Pass RetryPolicy::none() to disable again.
   void set_retry_policy(const RetryPolicy& policy);
 
   // Replay-buffer bound: send_batch blocks for ACK progress once this
@@ -95,17 +89,16 @@ class Client {
   // Handshake round-trip. Throws ProtocolError on a malformed reply and
   // TransportError on transport failure; a *rejected* hello returns
   // normally with accepted == false so the caller can report the reason.
-  // On v2 the reply carries the session token the client will present to
+  // The reply carries the session token the client will present to
   // resume; a request with resume_token != 0 asks to resume explicitly
   // (normally the client fills that in itself during recovery).
   HelloReply hello(const HelloRequest& req, double timeout_seconds = 10.0);
 
-  // Aggregate (leaf->parent) mode, protocol v2 only. The SUBSCRIBE
-  // handshake replaces HELLO for this session: the reply carries the
-  // same session token / last-applied-seq resume contract, and every
-  // recovery re-subscribes instead of re-HELLOing. A *rejected*
-  // subscription returns normally with accepted == false. Throws
-  // std::invalid_argument at protocol v1.
+  // Aggregate (leaf->parent) mode. The SUBSCRIBE handshake replaces
+  // HELLO for this session: the reply carries the same session token /
+  // last-applied-seq resume contract, and every recovery re-subscribes
+  // instead of re-HELLOing. A *rejected* subscription returns normally
+  // with accepted == false.
   AggregateSubscribeReply aggregate_subscribe(const AggregateSubscribe& req,
                                               double timeout_seconds = 10.0);
 
@@ -116,7 +109,7 @@ class Client {
   // (drain_decisions / next_decision).
   void send_aggregate(AggregateBatch& batch);
 
-  // Ships one batch of sampling ticks (blocking write). On v2 the client
+  // Ships one batch of sampling ticks (blocking write). The client
   // stamps batch.batch_seq with the session's next sequence number and
   // retains the encoded frame until the daemon acknowledges it. Encodes
   // into a member scratch buffer, so a steady-state streaming loop
@@ -156,7 +149,7 @@ class Client {
   // Dedup + ordering gate for one received DECISION.
   void on_decision(const DecisionFrame& d);
   void on_ack(const AckFrame& ack);
-  // Sends HELLO from hello_req_ (+ resume token on v2), applies the
+  // Sends HELLO from hello_req_ (+ resume token), applies the
   // reply's session bookkeeping, and retransmits unacked batches.
   HelloReply handshake(double timeout_seconds);
   // Full outage recovery: reconnect + resume under `backoff`/deadline.
@@ -169,7 +162,6 @@ class Client {
   void ensure_pending_space();
 
   int fd_ = -1;
-  std::uint8_t version_ = kProtocolVersion;
   FrameAssembler assembler_;
   std::deque<DecisionFrame> decisions_;
   std::vector<std::uint8_t> send_scratch_;  // send_batch encode buffer

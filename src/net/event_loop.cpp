@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -53,20 +52,10 @@ bool EventLoop::epoll_supported() noexcept {
 #endif
 }
 
-LoopBackend EventLoop::default_backend() {
-  // Operational escape hatch: HPCAP_EVENT_BACKEND=poll|epoll pins the
-  // resolution of kAuto without a rebuild or a flag change.
-  // hpcap-lint: allow(banned-function) — read-only env lookup, not time/rand
-  if (const char* env = std::getenv("HPCAP_EVENT_BACKEND")) {
-    if (std::strcmp(env, "poll") == 0) return LoopBackend::kPoll;
-    if (std::strcmp(env, "epoll") == 0 && epoll_supported())
-      return LoopBackend::kEpoll;
-  }
-  return epoll_supported() ? LoopBackend::kEpoll : LoopBackend::kPoll;
-}
-
 EventLoop::EventLoop(LoopBackend backend) {
-  backend_ = backend == LoopBackend::kAuto ? default_backend() : backend;
+  if (backend == LoopBackend::kAuto)
+    backend = epoll_supported() ? LoopBackend::kEpoll : LoopBackend::kPoll;
+  backend_ = backend;
   if (backend_ == LoopBackend::kEpoll && !epoll_supported())
     throw std::runtime_error("EventLoop: epoll backend not supported here");
   if (::pipe(wake_pipe_) != 0)

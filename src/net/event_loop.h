@@ -10,10 +10,10 @@
 //
 // Two readiness backends sit behind one contract:
 //
-//   * poll(2) — the portable default. O(fds) per wait, which is
+//   * poll(2) — the only backend off Linux. O(fds) per wait, which is
 //     irrelevant at tens of connections but the binding constraint at
 //     tens of thousands.
-//   * epoll(7) — Linux only, selected by default there (kAuto). O(ready)
+//   * epoll(7) — Linux only, always selected there (kAuto). O(ready)
 //     per wait; the kernel holds the interest set, so a mostly-idle
 //     50k-connection daemon pays only for the fds with traffic.
 //
@@ -31,9 +31,8 @@
 namespace hpcap::net {
 
 // Readiness backend selection. kAuto resolves to kEpoll on Linux and
-// kPoll elsewhere; the HPCAP_EVENT_BACKEND environment variable ("poll"
-// or "epoll") overrides kAuto for operational escape hatches. Requesting
-// kEpoll on a platform without it throws.
+// kPoll elsewhere; the backend-parity suite asks for kPoll explicitly.
+// Requesting kEpoll on a platform without it throws.
 enum class LoopBackend { kAuto, kPoll, kEpoll };
 
 class EventLoop {
@@ -51,8 +50,6 @@ class EventLoop {
 
   // The resolved backend (never kAuto).
   LoopBackend backend() const noexcept { return backend_; }
-  // What kAuto resolves to on this host (after the environment override).
-  static LoopBackend default_backend();
   // True when this build can construct an epoll-backed loop.
   static bool epoll_supported() noexcept;
 

@@ -20,12 +20,6 @@ std::size_t checked_count(std::uint64_t n, std::size_t cap,
   return static_cast<std::size_t>(n);
 }
 
-void check_version(std::uint8_t version) {
-  if (version < kMinProtocolVersion || version > kProtocolVersion)
-    throw ProtocolError("wire protocol: cannot encode for protocol version " +
-                        std::to_string(version));
-}
-
 // Slicing-by-8 tables for the reflected IEEE polynomial. kCrcTables[0] is
 // the classic byte-at-a-time table; kCrcTables[k][i] is the CRC state of
 // byte i followed by k zero bytes, so one step folds 8 input bytes with 8
@@ -216,11 +210,10 @@ std::optional<FrameHeader> peek_header(
   if (magic != kMagic) malformed("bad magic");
   FrameHeader h;
   h.version = r.read_u8();
-  if (h.version < kMinProtocolVersion || h.version > kProtocolVersion)
+  if (h.version != kProtocolVersion)
     malformed("unsupported protocol version " + std::to_string(h.version));
   const std::uint8_t type = r.read_u8();
-  const std::uint8_t max_type = h.version >= 2 ? 8 : 6;
-  if (type < 1 || type > max_type)
+  if (type < 1 || type > static_cast<std::uint8_t>(FrameType::kAggregate))
     malformed("unknown frame type " + std::to_string(type));
   h.type = static_cast<FrameType>(type);
   if (r.read_u16() != 0) malformed("nonzero reserved field");
@@ -236,14 +229,12 @@ namespace {
 // In-place framing for the encode_*_into family: begin_frame appends the
 // 12-byte header with a zero payload-size placeholder and returns the
 // placeholder's offset; end_frame patches the size once the payload has
-// been appended and, for v2, appends the CRC-32 trailer over the whole
-// frame. Produces byte-identical frames to encode_frame without a
+// been appended and appends the CRC-32 trailer over the whole frame.
+// Produces byte-identical frames to encode_frame without a
 // separate payload vector.
-std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameType type,
-                        std::uint8_t version) {
-  check_version(version);
+std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameType type) {
   put_u32(out, kMagic);
-  put_u8(out, version);
+  put_u8(out, kProtocolVersion);
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u16(out, 0);
   const std::size_t size_off = out.size();
@@ -251,81 +242,67 @@ std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameType type,
   return size_off;
 }
 
-void end_frame(std::vector<std::uint8_t>& out, std::size_t size_off,
-               std::uint8_t version) {
+void end_frame(std::vector<std::uint8_t>& out, std::size_t size_off) {
   const std::size_t payload = out.size() - size_off - 4;
   if (payload > kMaxPayload)
     throw ProtocolError("wire protocol: payload too large to encode");
   for (int i = 0; i < 4; ++i)
     out[size_off + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>((payload >> (8 * i)) & 0xff);
-  if (version >= 2) {
-    const std::size_t frame_at = size_off - (kHeaderSize - 4);
-    const std::uint32_t c =
-        crc32({out.data() + frame_at, out.size() - frame_at});
-    put_u32(out, c);
-  }
+  const std::size_t frame_at = size_off - (kHeaderSize - 4);
+  put_u32(out, crc32({out.data() + frame_at, out.size() - frame_at}));
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(
-    FrameType type, std::span<const std::uint8_t> payload,
-    std::uint8_t version) {
+    FrameType type, std::span<const std::uint8_t> payload) {
   if (payload.size() > kMaxPayload)
     throw ProtocolError("wire protocol: payload too large to encode");
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + kCrcSize);
-  const std::size_t f = begin_frame(out, type, version);
+  const std::size_t f = begin_frame(out, type);
   out.insert(out.end(), payload.begin(), payload.end());
-  end_frame(out, f, version);
+  end_frame(out, f);
   return out;
 }
 
 // --- HELLO ---------------------------------------------------------------
 
 void encode_hello_request_into(const HelloRequest& req,
-                               std::vector<std::uint8_t>& out,
-                               std::uint8_t version) {
-  const std::size_t f = begin_frame(out, FrameType::kHello, version);
+                               std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kHello);
   put_string(out, req.agent);
   put_string(out, req.level);
   put_u16(out, req.num_tiers);
   put_u16(out, req.window);
-  if (version >= 2) {
-    put_u64(out, req.resume_token);
-    put_u32(out, req.resume_from_window);
-  }
-  end_frame(out, f, version);
+  put_u64(out, req.resume_token);
+  put_u32(out, req.resume_from_window);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_hello_request(const HelloRequest& req,
-                                               std::uint8_t version) {
+std::vector<std::uint8_t> encode_hello_request(const HelloRequest& req) {
   std::vector<std::uint8_t> out;
-  encode_hello_request_into(req, out, version);
+  encode_hello_request_into(req, out);
   return out;
 }
 
-HelloRequest decode_hello_request(std::span<const std::uint8_t> payload,
-                                  std::uint8_t version) {
+HelloRequest decode_hello_request(std::span<const std::uint8_t> payload) {
   PayloadReader r(payload);
   HelloRequest req;
   req.agent = r.read_string();
   req.level = r.read_string();
   req.num_tiers = r.read_u16();
   req.window = r.read_u16();
-  if (version >= 2) {
-    req.resume_token = r.read_u64();
-    req.resume_from_window = r.read_u32();
-  }
+  req.resume_token = r.read_u64();
+  req.resume_from_window = r.read_u32();
   r.expect_done("HELLO request");
   return req;
 }
 
 void encode_hello_reply_into(const HelloReply& rep,
-                             std::vector<std::uint8_t>& out,
-                             std::uint8_t version) {
-  const std::size_t f = begin_frame(out, FrameType::kHello, version);
+                             std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kHello);
   put_u8(out, rep.accepted ? 1 : 0);
   put_string(out, rep.message);
   put_u16(out, rep.num_tiers);
@@ -335,23 +312,19 @@ void encode_hello_reply_into(const HelloReply& rep,
     throw ProtocolError("wire protocol: too many tiers to encode");
   put_u16(out, static_cast<std::uint16_t>(rep.dims.size()));
   for (std::uint16_t d : rep.dims) put_u16(out, d);
-  if (version >= 2) {
-    put_u64(out, rep.session_token);
-    put_u64(out, rep.last_applied_seq);
-    put_u8(out, rep.resumed ? 1 : 0);
-  }
-  end_frame(out, f, version);
+  put_u64(out, rep.session_token);
+  put_u64(out, rep.last_applied_seq);
+  put_u8(out, rep.resumed ? 1 : 0);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_hello_reply(const HelloReply& rep,
-                                             std::uint8_t version) {
+std::vector<std::uint8_t> encode_hello_reply(const HelloReply& rep) {
   std::vector<std::uint8_t> out;
-  encode_hello_reply_into(rep, out, version);
+  encode_hello_reply_into(rep, out);
   return out;
 }
 
-HelloReply decode_hello_reply(std::span<const std::uint8_t> payload,
-                              std::uint8_t version) {
+HelloReply decode_hello_reply(std::span<const std::uint8_t> payload) {
   PayloadReader r(payload);
   HelloReply rep;
   rep.accepted = r.read_u8() != 0;
@@ -362,11 +335,9 @@ HelloReply decode_hello_reply(std::span<const std::uint8_t> payload,
   const std::size_t n = checked_count(r.read_u16(), kMaxTiers, "tier");
   rep.dims.resize(n);
   for (auto& d : rep.dims) d = r.read_u16();
-  if (version >= 2) {
-    rep.session_token = r.read_u64();
-    rep.last_applied_seq = r.read_u64();
-    rep.resumed = r.read_u8() != 0;
-  }
+  rep.session_token = r.read_u64();
+  rep.last_applied_seq = r.read_u64();
+  rep.resumed = r.read_u8() != 0;
   r.expect_done("HELLO reply");
   return rep;
 }
@@ -375,12 +346,11 @@ HelloReply decode_hello_reply(std::span<const std::uint8_t> payload,
 
 // hpcap-lint: hot-path
 void encode_sample_batch_into(const SampleBatch& batch,
-                              std::vector<std::uint8_t>& out,
-                              std::uint8_t version) {
+                              std::vector<std::uint8_t>& out) {
   if (batch.ticks.size() > kMaxTicksPerBatch)
     throw ProtocolError("wire protocol: too many ticks to encode");
-  const std::size_t f = begin_frame(out, FrameType::kSampleBatch, version);
-  if (version >= 2) put_u64(out, batch.batch_seq);
+  const std::size_t f = begin_frame(out, FrameType::kSampleBatch);
+  put_u64(out, batch.batch_seq);
   put_u32(out, batch.first_tick);
   put_u16(out, static_cast<std::uint16_t>(batch.ticks.size()));
   for (const Tick& tick : batch.ticks) {
@@ -396,20 +366,18 @@ void encode_sample_batch_into(const SampleBatch& batch,
       put_f64_array(out, slot.values);
     }
   }
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_sample_batch(const SampleBatch& batch,
-                                              std::uint8_t version) {
+std::vector<std::uint8_t> encode_sample_batch(const SampleBatch& batch) {
   std::vector<std::uint8_t> out;
-  encode_sample_batch_into(batch, out, version);
+  encode_sample_batch_into(batch, out);
   return out;
 }
 
 // hpcap-lint: hot-path
 SampleBatchView decode_sample_batch_view(
-    std::span<const std::uint8_t> payload, BatchArena& arena,
-    std::uint8_t version) {
+    std::span<const std::uint8_t> payload, BatchArena& arena) {
   // Pass 1 — scan: validate structure and count ticks/slots/values so the
   // arena arrays can be sized exactly once (no growth reallocation, and a
   // hostile count never drives a speculative over-allocation).
@@ -420,7 +388,7 @@ SampleBatchView decode_sample_batch_view(
   std::size_t num_ticks = 0;
   {
     PayloadReader scan(payload);
-    if (version >= 2) batch_seq = scan.read_u64();
+    batch_seq = scan.read_u64();
     first_tick = scan.read_u32();
     num_ticks = checked_count(scan.read_u16(), kMaxTicksPerBatch, "tick");
     for (std::size_t t = 0; t < num_ticks; ++t) {
@@ -449,7 +417,7 @@ SampleBatchView decode_sample_batch_view(
   arena.values_.resize(total_values);  // hpcap-lint: allow(bounded-decode)
   PayloadReader r(payload);
   SampleBatchView batch;
-  if (version >= 2) (void)r.read_u64();  // batch_seq, read in pass 1
+  (void)r.read_u64();  // batch_seq, read in pass 1
   batch.first_tick = r.read_u32();
   (void)r.read_u16();  // tick count, validated in pass 1
   std::size_t slot_at = 0;
@@ -479,13 +447,11 @@ SampleBatchView decode_sample_batch_view(
   return batch;
 }
 
-SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload,
-                                std::uint8_t version) {
+SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload) {
   // One validation implementation: decode through a local arena, then
   // deep-copy the views into the owning struct.
   BatchArena arena;
-  const SampleBatchView view = decode_sample_batch_view(payload, arena,
-                                                        version);
+  const SampleBatchView view = decode_sample_batch_view(payload, arena);
   SampleBatch batch;
   batch.batch_seq = view.batch_seq;
   batch.first_tick = view.first_tick;
@@ -506,9 +472,8 @@ SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload,
 
 // hpcap-lint: hot-path
 void encode_decision_into(const DecisionFrame& d,
-                          std::vector<std::uint8_t>& out,
-                          std::uint8_t version) {
-  const std::size_t f = begin_frame(out, FrameType::kDecision, version);
+                          std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kDecision);
   put_u32(out, d.window_index);
   put_u8(out, d.state);
   put_u8(out, d.confident);
@@ -517,13 +482,12 @@ void encode_decision_into(const DecisionFrame& d,
   put_i32(out, d.hc);
   put_i32(out, d.bottleneck_tier);
   put_i32(out, d.staleness);
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_decision(const DecisionFrame& d,
-                                          std::uint8_t version) {
+std::vector<std::uint8_t> encode_decision(const DecisionFrame& d) {
   std::vector<std::uint8_t> out;
-  encode_decision_into(d, out, version);
+  encode_decision_into(d, out);
   return out;
 }
 
@@ -542,22 +506,18 @@ DecisionFrame decode_decision(std::span<const std::uint8_t> payload) {
   return d;
 }
 
-// --- ACK (v2 only) -------------------------------------------------------
+// --- ACK -----------------------------------------------------------------
 
-void encode_ack_into(const AckFrame& ack, std::vector<std::uint8_t>& out,
-                     std::uint8_t version) {
-  if (version < 2)
-    throw ProtocolError("wire protocol: ACK frames require protocol v2");
-  const std::size_t f = begin_frame(out, FrameType::kAck, version);
+void encode_ack_into(const AckFrame& ack, std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kAck);
   put_u64(out, ack.last_applied_seq);
   put_u32(out, ack.next_window);
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_ack(const AckFrame& ack,
-                                     std::uint8_t version) {
+std::vector<std::uint8_t> encode_ack(const AckFrame& ack) {
   std::vector<std::uint8_t> out;
-  encode_ack_into(ack, out, version);
+  encode_ack_into(ack, out);
   return out;
 }
 
@@ -578,33 +538,30 @@ std::uint64_t StatsReply::value(const std::string& key) const {
   return 0;
 }
 
-void encode_stats_request_into(std::vector<std::uint8_t>& out,
-                               std::uint8_t version) {
-  end_frame(out, begin_frame(out, FrameType::kStats, version), version);
+void encode_stats_request_into(std::vector<std::uint8_t>& out) {
+  end_frame(out, begin_frame(out, FrameType::kStats));
 }
 
-std::vector<std::uint8_t> encode_stats_request(std::uint8_t version) {
-  return encode_frame(FrameType::kStats, {}, version);
+std::vector<std::uint8_t> encode_stats_request() {
+  return encode_frame(FrameType::kStats, {});
 }
 
 void encode_stats_reply_into(const StatsReply& rep,
-                             std::vector<std::uint8_t>& out,
-                             std::uint8_t version) {
+                             std::vector<std::uint8_t>& out) {
   if (rep.entries.size() > kMaxStatsEntries)
     throw ProtocolError("wire protocol: too many stats entries to encode");
-  const std::size_t f = begin_frame(out, FrameType::kStats, version);
+  const std::size_t f = begin_frame(out, FrameType::kStats);
   put_u32(out, static_cast<std::uint32_t>(rep.entries.size()));
   for (const auto& [key, value] : rep.entries) {
     put_string(out, key);
     put_u64(out, value);
   }
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_stats_reply(const StatsReply& rep,
-                                             std::uint8_t version) {
+std::vector<std::uint8_t> encode_stats_reply(const StatsReply& rep) {
   std::vector<std::uint8_t> out;
-  encode_stats_reply_into(rep, out, version);
+  encode_stats_reply_into(rep, out);
   return out;
 }
 
@@ -626,17 +583,15 @@ StatsReply decode_stats_reply(std::span<const std::uint8_t> payload) {
 // --- RELOAD --------------------------------------------------------------
 
 void encode_reload_request_into(const ReloadRequest& req,
-                                std::vector<std::uint8_t>& out,
-                                std::uint8_t version) {
-  const std::size_t f = begin_frame(out, FrameType::kReload, version);
+                                std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kReload);
   put_string(out, req.path);
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_reload_request(const ReloadRequest& req,
-                                                std::uint8_t version) {
+std::vector<std::uint8_t> encode_reload_request(const ReloadRequest& req) {
   std::vector<std::uint8_t> out;
-  encode_reload_request_into(req, out, version);
+  encode_reload_request_into(req, out);
   return out;
 }
 
@@ -649,19 +604,17 @@ ReloadRequest decode_reload_request(std::span<const std::uint8_t> payload) {
 }
 
 void encode_reload_reply_into(const ReloadReply& rep,
-                              std::vector<std::uint8_t>& out,
-                              std::uint8_t version) {
-  const std::size_t f = begin_frame(out, FrameType::kReload, version);
+                              std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kReload);
   put_u8(out, rep.ok ? 1 : 0);
   put_u32(out, rep.model_version);
   put_string(out, rep.message);
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_reload_reply(const ReloadReply& rep,
-                                              std::uint8_t version) {
+std::vector<std::uint8_t> encode_reload_reply(const ReloadReply& rep) {
   std::vector<std::uint8_t> out;
-  encode_reload_reply_into(rep, out, version);
+  encode_reload_reply_into(rep, out);
   return out;
 }
 
@@ -677,29 +630,15 @@ ReloadReply decode_reload_reply(std::span<const std::uint8_t> payload) {
 
 // --- SHUTDOWN ------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_shutdown(std::uint8_t version) {
-  return encode_frame(FrameType::kShutdown, {}, version);
+std::vector<std::uint8_t> encode_shutdown() {
+  return encode_frame(FrameType::kShutdown, {});
 }
 
-void encode_shutdown_into(std::vector<std::uint8_t>& out,
-                          std::uint8_t version) {
-  end_frame(out, begin_frame(out, FrameType::kShutdown, version), version);
+void encode_shutdown_into(std::vector<std::uint8_t>& out) {
+  end_frame(out, begin_frame(out, FrameType::kShutdown));
 }
 
 // --- AGGREGATE -----------------------------------------------------------
-
-namespace {
-
-// All AGGREGATE encoders are v2-only: the frame type does not exist in
-// the v1 range, so asking for a v1 encoding is a caller bug, not a
-// negotiation outcome.
-void check_aggregate_version(std::uint8_t version) {
-  check_version(version);
-  if (version < 2)
-    throw ProtocolError("AGGREGATE frames require protocol v2");
-}
-
-}  // namespace
 
 AggregateKind peek_aggregate_kind(std::span<const std::uint8_t> payload) {
   if (payload.empty()) malformed("AGGREGATE: empty payload");
@@ -710,25 +649,23 @@ AggregateKind peek_aggregate_kind(std::span<const std::uint8_t> payload) {
 }
 
 void encode_aggregate_subscribe_into(const AggregateSubscribe& req,
-                                     std::vector<std::uint8_t>& out,
-                                     std::uint8_t version) {
-  check_aggregate_version(version);
+                                     std::vector<std::uint8_t>& out) {
   if (req.synopses.size() > kMaxAggSynopses)
     throw ProtocolError("AGGREGATE: too many synopses to encode");
-  const std::size_t f = begin_frame(out, FrameType::kAggregate, version);
+  const std::size_t f = begin_frame(out, FrameType::kAggregate);
   put_u8(out, static_cast<std::uint8_t>(AggregateKind::kSubscribe));
   put_string(out, req.leaf);
   put_u16(out, static_cast<std::uint16_t>(req.synopses.size()));
   for (const std::uint16_t s : req.synopses) put_u16(out, s);
   put_u64(out, req.resume_token);
   put_u32(out, req.resume_from_window);
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
 std::vector<std::uint8_t> encode_aggregate_subscribe(
-    const AggregateSubscribe& req, std::uint8_t version) {
+    const AggregateSubscribe& req) {
   std::vector<std::uint8_t> out;
-  encode_aggregate_subscribe_into(req, out, version);
+  encode_aggregate_subscribe_into(req, out);
   return out;
 }
 
@@ -750,10 +687,8 @@ AggregateSubscribe decode_aggregate_subscribe(
 }
 
 void encode_aggregate_subscribe_reply_into(const AggregateSubscribeReply& rep,
-                                           std::vector<std::uint8_t>& out,
-                                           std::uint8_t version) {
-  check_aggregate_version(version);
-  const std::size_t f = begin_frame(out, FrameType::kAggregate, version);
+                                           std::vector<std::uint8_t>& out) {
+  const std::size_t f = begin_frame(out, FrameType::kAggregate);
   put_u8(out, static_cast<std::uint8_t>(AggregateKind::kSubscribeReply));
   put_u8(out, rep.accepted ? 1 : 0);
   put_string(out, rep.message);
@@ -762,13 +697,13 @@ void encode_aggregate_subscribe_reply_into(const AggregateSubscribeReply& rep,
   put_u64(out, rep.session_token);
   put_u64(out, rep.last_applied_seq);
   put_u8(out, rep.resumed ? 1 : 0);
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
 std::vector<std::uint8_t> encode_aggregate_subscribe_reply(
-    const AggregateSubscribeReply& rep, std::uint8_t version) {
+    const AggregateSubscribeReply& rep) {
   std::vector<std::uint8_t> out;
-  encode_aggregate_subscribe_reply_into(rep, out, version);
+  encode_aggregate_subscribe_reply_into(rep, out);
   return out;
 }
 
@@ -791,12 +726,10 @@ AggregateSubscribeReply decode_aggregate_subscribe_reply(
 }
 
 void encode_aggregate_batch_into(const AggregateBatch& batch,
-                                 std::vector<std::uint8_t>& out,
-                                 std::uint8_t version) {
-  check_aggregate_version(version);
+                                 std::vector<std::uint8_t>& out) {
   if (batch.windows.size() > kMaxAggWindows)
     throw ProtocolError("AGGREGATE: too many windows to encode");
-  const std::size_t f = begin_frame(out, FrameType::kAggregate, version);
+  const std::size_t f = begin_frame(out, FrameType::kAggregate);
   put_u8(out, static_cast<std::uint8_t>(AggregateKind::kVotes));
   put_u64(out, batch.agg_seq);
   put_u16(out, static_cast<std::uint16_t>(batch.windows.size()));
@@ -817,13 +750,12 @@ void encode_aggregate_batch_into(const AggregateBatch& batch,
       put_u8(out, cell);
     }
   }
-  end_frame(out, f, version);
+  end_frame(out, f);
 }
 
-std::vector<std::uint8_t> encode_aggregate_batch(const AggregateBatch& batch,
-                                                 std::uint8_t version) {
+std::vector<std::uint8_t> encode_aggregate_batch(const AggregateBatch& batch) {
   std::vector<std::uint8_t> out;
-  encode_aggregate_batch_into(batch, out, version);
+  encode_aggregate_batch_into(batch, out);
   return out;
 }
 
@@ -881,14 +813,11 @@ std::optional<FrameRef> FrameAssembler::next_ref() {
                                               buf_.size() - start_);
   const auto header = peek_header(pending);
   if (!header) return std::nullopt;
-  const std::size_t trailer = header->version >= 2 ? kCrcSize : 0;
-  const std::size_t total = kHeaderSize + header->payload_size + trailer;
+  const std::size_t body = kHeaderSize + header->payload_size;
+  const std::size_t total = body + kCrcSize;
   if (pending.size() < total) return std::nullopt;
-  if (trailer != 0) {
-    const std::size_t body = kHeaderSize + header->payload_size;
-    if (crc32(pending.first(body)) != load_le32(pending.data() + body))
-      malformed("frame checksum mismatch");
-  }
+  if (crc32(pending.first(body)) != load_le32(pending.data() + body))
+    malformed("frame checksum mismatch");
   FrameRef frame;
   frame.version = header->version;
   frame.type = header->type;

@@ -7,15 +7,15 @@
 //
 //   header (12 bytes, all integers little-endian on the wire):
 //     u32 magic        0x48504341 ("ACPH" on the wire, "HPCA" as a word)
-//     u8  version      1 or 2 (kProtocolVersion = 2)
+//     u8  version      kProtocolVersion (2); any other value is malformed
 //     u8  type         FrameType
 //     u16 reserved     must be 0
 //     u32 payload_size <= kMaxPayload
 //   payload (payload_size bytes, layout per frame type below)
-//   v2 only: u32 crc32 trailer over header + payload (IEEE/zlib
-//   polynomial). A frame whose checksum does not match is malformed —
-//   this is what lets a resilient client treat silent byte corruption
-//   like a dropped connection instead of feeding garbage to the model.
+//   u32 crc32 trailer over header + payload (IEEE/zlib polynomial). A
+//   frame whose checksum does not match is malformed — this is what lets
+//   a resilient client treat silent byte corruption like a dropped
+//   connection instead of feeding garbage to the model.
 //
 // Encoding is explicit byte-at-a-time little-endian — no struct casts, no
 // host-endianness leaks — and every decode is bounds-checked: a malformed
@@ -25,19 +25,16 @@
 // counts with hard caps, so a hostile length field cannot trigger a huge
 // allocation.
 //
-// Frame types and payloads (req = agent->daemon, rep = daemon->agent).
-// Fields marked [v2] exist only in version-2 frames; a v1 frame of the
-// same type omits them and decodes them to their zero values:
+// Frame types and payloads (req = agent->daemon, rep = daemon->agent):
 //
 //   HELLO req:  str agent, str level("hpc"|"os"), u16 num_tiers, u16 window,
-//               [v2] u64 resume_token (0 = new session),
-//               [v2] u32 resume_from_window (first DECISION window the
+//               u64 resume_token (0 = new session),
+//               u32 resume_from_window (first DECISION window the
 //               client still needs when resuming)
 //   HELLO rep:  u8 accepted, str message, u16 num_tiers, u16 window,
 //               u32 model_version, u16 ntiers, u16 dim[ntiers],
-//               [v2] u64 session_token, [v2] u64 last_applied_seq,
-//               [v2] u8 resumed
-//   SAMPLE_BATCH req: [v2] u64 batch_seq (1-based, strictly increasing
+//               u64 session_token, u64 last_applied_seq, u8 resumed
+//   SAMPLE_BATCH req: u64 batch_seq (1-based, strictly increasing
 //               per session), u32 first_tick, u16 tick_count, then per
 //               tick: u16 tier_count, per tier: u8 present,
 //               present ? (u16 dim, f64 values[dim]) : ()
@@ -50,11 +47,11 @@
 //   RELOAD rep: u8 ok, u32 model_version, str message
 //   SHUTDOWN:   empty both ways (rep is the ack; daemon then drains and
 //               exits)
-//   ACK rep [v2 only]: u64 last_applied_seq, u32 next_window — the
-//               daemon's cumulative acknowledgement; the client prunes
-//               its replay buffer of SAMPLE_BATCH frames up to and
-//               including last_applied_seq.
-//   AGGREGATE [v2 only]: the leaf->parent fleet-tree frame. First payload
+//   ACK rep:    u64 last_applied_seq, u32 next_window — the daemon's
+//               cumulative acknowledgement; the client prunes its replay
+//               buffer of SAMPLE_BATCH frames up to and including
+//               last_applied_seq.
+//   AGGREGATE:  the leaf->parent fleet-tree frame. First payload
 //               byte is a kind discriminator:
 //               kind 1 SUBSCRIBE (leaf->parent): str leaf, u16 count,
 //                 count x u16 synopsis index (the global GPV bits this
@@ -75,11 +72,6 @@
 //                 2 = valid vote 1. Anything above 2 is malformed.
 //               Decisions flow back as ordinary DECISION frames carrying
 //               the parent's fleet-level verdict.
-//
-// Version negotiation: the daemon answers every request in the version
-// of the request's frame header, and a session runs at the version of
-// its HELLO — so a v1 agent talking to a v2 daemon never sees a v2
-// frame, and sequence/ACK/resume machinery simply does not engage.
 #pragma once
 
 #include <cstdint>
@@ -94,12 +86,11 @@ namespace hpcap::net {
 
 inline constexpr std::uint32_t kMagic = 0x48504341u;  // "HPCA"
 inline constexpr std::uint8_t kProtocolVersion = 2;
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 // The on-disk model bundle format the daemon loads (core/model_io.h).
 inline constexpr const char* kModelFormatVersion = "v1";
 
 inline constexpr std::size_t kHeaderSize = 12;
-inline constexpr std::size_t kCrcSize = 4;  // v2 frame trailer
+inline constexpr std::size_t kCrcSize = 4;  // frame trailer
 inline constexpr std::size_t kMaxPayload = std::size_t{4} << 20;  // 4 MiB
 // Decode-side caps: a length field above these is malformed, full stop.
 inline constexpr std::size_t kMaxString = std::size_t{1} << 20;
@@ -119,8 +110,8 @@ enum class FrameType : std::uint8_t {
   kStats = 4,
   kReload = 5,
   kShutdown = 6,
-  kAck = 7,        // v2 only
-  kAggregate = 8,  // v2 only
+  kAck = 7,
+  kAggregate = 8,
 };
 
 // Discriminator in the first byte of an AGGREGATE payload.
@@ -138,7 +129,7 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) over `data`. The v2
+// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) over `data`. The
 // frame trailer; exposed so tests and the chaos harness can forge or
 // verify frames byte-for-byte. Computed slicing-by-8 (eight compile-time
 // tables, 8 bytes per step) in portable C++: no ISA flags or CPU dispatch,
@@ -221,10 +212,9 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
-// Wraps an encoded payload in a framed header (+ CRC trailer for v2).
+// Wraps an encoded payload in a framed header + CRC trailer.
 std::vector<std::uint8_t> encode_frame(FrameType type,
-                                       std::span<const std::uint8_t> payload,
-                                       std::uint8_t version = kProtocolVersion);
+                                       std::span<const std::uint8_t> payload);
 
 // --- frame structs -------------------------------------------------------
 
@@ -233,8 +223,7 @@ struct HelloRequest {
   std::string level;       // "hpc" or "os"
   std::uint16_t num_tiers = 0;
   std::uint16_t window = 0;  // samples per instance for this session
-  // v2 resume handshake; both zero on a fresh session and always zero
-  // when the frame is encoded/decoded as v1.
+  // Resume handshake; both zero on a fresh session.
   std::uint64_t resume_token = 0;
   std::uint32_t resume_from_window = 0;
 };
@@ -246,7 +235,7 @@ struct HelloReply {
   std::uint16_t window = 0;
   std::uint32_t model_version = 0;
   std::vector<std::uint16_t> dims;  // expected row width per tier
-  // v2 session identity: the token the client presents to resume, and
+  // Session identity: the token the client presents to resume, and
   // the highest batch_seq the daemon has fully applied for it.
   std::uint64_t session_token = 0;
   std::uint64_t last_applied_seq = 0;
@@ -265,7 +254,7 @@ struct Tick {
 };
 
 struct SampleBatch {
-  std::uint64_t batch_seq = 0;   // v2: 1-based per-session sequence
+  std::uint64_t batch_seq = 0;   // 1-based per-session sequence
   std::uint32_t first_tick = 0;  // sequence number of ticks[0]
   std::vector<Tick> ticks;
 };
@@ -280,7 +269,7 @@ struct DecisionFrame {
   std::int32_t staleness = 0;
 };
 
-// v2 cumulative acknowledgement (daemon -> agent).
+// Cumulative acknowledgement (daemon -> agent).
 struct AckFrame {
   std::uint64_t last_applied_seq = 0;
   std::uint32_t next_window = 0;  // next DECISION window the daemon emits
@@ -369,8 +358,7 @@ class BatchArena {
 
  private:
   friend SampleBatchView decode_sample_batch_view(
-      std::span<const std::uint8_t> payload, BatchArena& arena,
-      std::uint8_t version);
+      std::span<const std::uint8_t> payload, BatchArena& arena);
   std::vector<double> values_;
   std::vector<TierSlotView> slots_;
   std::vector<TickView> ticks_;
@@ -380,8 +368,7 @@ class BatchArena {
 // Validation (caps, truncation, trailing bytes) is identical to
 // decode_sample_batch — same errors, same messages.
 SampleBatchView decode_sample_batch_view(
-    std::span<const std::uint8_t> payload, BatchArena& arena,
-    std::uint8_t version = kProtocolVersion);
+    std::span<const std::uint8_t> payload, BatchArena& arena);
 
 // --- encode (full frame) / decode (payload only) -------------------------
 //
@@ -390,106 +377,72 @@ SampleBatchView decode_sample_batch_view(
 // appends the framed bytes to `out` (not clearing it first), so callers
 // on the hot path can reuse one scratch buffer — or pack several frames
 // back to back for a single scatter-gather write.
-//
-// All encoders and version-dependent decoders take the wire version the
-// frame is (to be) carried at; v1 silently omits the v2 fields so a
-// negotiated-v1 session emits byte-identical frames to a v1 build.
 
-std::vector<std::uint8_t> encode_hello_request(
-    const HelloRequest& req, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_hello_request(const HelloRequest& req);
 void encode_hello_request_into(const HelloRequest& req,
-                               std::vector<std::uint8_t>& out,
-                               std::uint8_t version = kProtocolVersion);
-HelloRequest decode_hello_request(std::span<const std::uint8_t> payload,
-                                  std::uint8_t version = kProtocolVersion);
+                               std::vector<std::uint8_t>& out);
+HelloRequest decode_hello_request(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_hello_reply(
-    const HelloReply& rep, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_hello_reply(const HelloReply& rep);
 void encode_hello_reply_into(const HelloReply& rep,
-                             std::vector<std::uint8_t>& out,
-                             std::uint8_t version = kProtocolVersion);
-HelloReply decode_hello_reply(std::span<const std::uint8_t> payload,
-                              std::uint8_t version = kProtocolVersion);
+                             std::vector<std::uint8_t>& out);
+HelloReply decode_hello_reply(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_sample_batch(
-    const SampleBatch& batch, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_sample_batch(const SampleBatch& batch);
 void encode_sample_batch_into(const SampleBatch& batch,
-                              std::vector<std::uint8_t>& out,
-                              std::uint8_t version = kProtocolVersion);
-SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload,
-                                std::uint8_t version = kProtocolVersion);
+                              std::vector<std::uint8_t>& out);
+SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_decision(
-    const DecisionFrame& d, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_decision(const DecisionFrame& d);
 void encode_decision_into(const DecisionFrame& d,
-                          std::vector<std::uint8_t>& out,
-                          std::uint8_t version = kProtocolVersion);
+                          std::vector<std::uint8_t>& out);
 DecisionFrame decode_decision(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_ack(
-    const AckFrame& ack, std::uint8_t version = kProtocolVersion);
-void encode_ack_into(const AckFrame& ack, std::vector<std::uint8_t>& out,
-                     std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_ack(const AckFrame& ack);
+void encode_ack_into(const AckFrame& ack, std::vector<std::uint8_t>& out);
 AckFrame decode_ack(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_stats_request(
-    std::uint8_t version = kProtocolVersion);
-void encode_stats_request_into(std::vector<std::uint8_t>& out,
-                               std::uint8_t version = kProtocolVersion);
-std::vector<std::uint8_t> encode_stats_reply(
-    const StatsReply& rep, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_stats_request();
+void encode_stats_request_into(std::vector<std::uint8_t>& out);
+std::vector<std::uint8_t> encode_stats_reply(const StatsReply& rep);
 void encode_stats_reply_into(const StatsReply& rep,
-                             std::vector<std::uint8_t>& out,
-                             std::uint8_t version = kProtocolVersion);
+                             std::vector<std::uint8_t>& out);
 StatsReply decode_stats_reply(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_reload_request(
-    const ReloadRequest& req, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_reload_request(const ReloadRequest& req);
 void encode_reload_request_into(const ReloadRequest& req,
-                                std::vector<std::uint8_t>& out,
-                                std::uint8_t version = kProtocolVersion);
+                                std::vector<std::uint8_t>& out);
 ReloadRequest decode_reload_request(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_reload_reply(
-    const ReloadReply& rep, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_reload_reply(const ReloadReply& rep);
 void encode_reload_reply_into(const ReloadReply& rep,
-                              std::vector<std::uint8_t>& out,
-                              std::uint8_t version = kProtocolVersion);
+                              std::vector<std::uint8_t>& out);
 ReloadReply decode_reload_reply(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_shutdown(
-    std::uint8_t version = kProtocolVersion);
-void encode_shutdown_into(std::vector<std::uint8_t>& out,
-                          std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_shutdown();
+void encode_shutdown_into(std::vector<std::uint8_t>& out);
 
-// AGGREGATE is v2-only: every encoder below throws ProtocolError when
-// asked for a v1 frame, and the decoders take no version parameter.
 // peek_aggregate_kind reads the discriminator byte so a dispatcher can
 // route the payload; each decoder re-checks it.
 AggregateKind peek_aggregate_kind(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_aggregate_subscribe(
-    const AggregateSubscribe& req, std::uint8_t version = kProtocolVersion);
+    const AggregateSubscribe& req);
 void encode_aggregate_subscribe_into(
-    const AggregateSubscribe& req, std::vector<std::uint8_t>& out,
-    std::uint8_t version = kProtocolVersion);
+    const AggregateSubscribe& req, std::vector<std::uint8_t>& out);
 AggregateSubscribe decode_aggregate_subscribe(
     std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_aggregate_subscribe_reply(
-    const AggregateSubscribeReply& rep,
-    std::uint8_t version = kProtocolVersion);
+    const AggregateSubscribeReply& rep);
 void encode_aggregate_subscribe_reply_into(
-    const AggregateSubscribeReply& rep, std::vector<std::uint8_t>& out,
-    std::uint8_t version = kProtocolVersion);
+    const AggregateSubscribeReply& rep, std::vector<std::uint8_t>& out);
 AggregateSubscribeReply decode_aggregate_subscribe_reply(
     std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_aggregate_batch(
-    const AggregateBatch& batch, std::uint8_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_aggregate_batch(const AggregateBatch& batch);
 void encode_aggregate_batch_into(const AggregateBatch& batch,
-                                 std::vector<std::uint8_t>& out,
-                                 std::uint8_t version = kProtocolVersion);
+                                 std::vector<std::uint8_t>& out);
 AggregateBatch decode_aggregate_batch(std::span<const std::uint8_t> payload);
 
 // --- incremental stream parsing ------------------------------------------
@@ -497,7 +450,7 @@ AggregateBatch decode_aggregate_batch(std::span<const std::uint8_t> payload);
 // Accumulates raw socket bytes and yields complete frames. Throws
 // ProtocolError from next()/next_ref() on malformed input (the caller
 // should then drop the connection — after a framing error the stream
-// position is unrecoverable). v2 frames are checksum-verified here, so
+// position is unrecoverable). Frames are checksum-verified here, so
 // every payload a decoder sees has already survived the CRC.
 //
 // next_ref() is the zero-copy form: the returned FrameRef's payload is a

@@ -70,12 +70,11 @@ constexpr double kResumeDeferCap = 2.0;
 }  // namespace
 
 // The stream state of one agent session: the per-tier pipeline plus the
-// v2 exactly-once bookkeeping. Owned by a Connection while its socket is
-// up; detaches into the ShardGroup's linger directory when a v2 peer
+// exactly-once bookkeeping. Owned by a Connection while its socket is
+// up; detaches into the ShardGroup's linger directory when its peer
 // vanishes so a reconnecting client can resume it — on any reactor.
 struct SessionState {
-  std::uint64_t token = 0;   // resume identity; 0 on v1 (not resumable)
-  std::uint8_t version = 1;  // wire version of the HELLO that made it
+  std::uint64_t token = 0;  // resume identity, never 0
   std::string agent;
   std::string level;
   std::uint16_t window = 0;
@@ -111,7 +110,7 @@ struct SessionState {
   bool aggregate = false;
   std::vector<std::uint16_t> coverage;  // subscribed synopsis indices
 
-  // v2 exactly-once state: highest batch sequence applied (cumulative —
+  // Exactly-once state: highest batch sequence applied (cumulative —
   // anything at or below it is a replay and is deduped), plus the
   // retained-DECISION ring for resume replay. replay_first_window is the
   // window_index of replay.front().
@@ -166,7 +165,6 @@ struct Server::Connection {
 // another: the eviction is in flight, the handshake reply waits.
 struct Server::PendingResume {
   int fd = -1;
-  std::uint8_t version = 2;
   HelloRequest hello;                       // plain-session ask
   std::optional<AggregateSubscribe> agg;    // aggregate-session ask
   double deadline = 0.0;
@@ -175,9 +173,9 @@ struct Server::PendingResume {
 // --- ShardGroup ----------------------------------------------------------
 
 struct ShardGroup::Directory {
-  // Detached v2 sessions awaiting resume, keyed by resume token.
+  // Detached sessions awaiting resume, keyed by resume token.
   std::unordered_map<std::uint64_t, std::unique_ptr<SessionState>> lingering;
-  // Where every attached v2 session token currently lives.
+  // Where every attached session token currently lives.
   std::unordered_map<std::uint64_t, std::size_t> live;
   // Parent-side fleet merge; created on the first SUBSCRIBE.
   std::unique_ptr<FleetAggregator> aggregator;
@@ -261,8 +259,11 @@ Server::Server(EventLoop& loop, core::MonitorSource& source, ServerConfig cfg,
     throw std::invalid_argument("Server: num_tiers out of range");
   if (cfg_.max_write_queue < 2)
     throw std::invalid_argument("Server: max_write_queue must be >= 2");
-  if (cfg_.decision_replay < 1)
-    throw std::invalid_argument("Server: decision_replay must be >= 1");
+  // A session dropped for a full write queue replays from the ring, so
+  // the ring must cover every decision the queue can hold.
+  if (cfg_.decision_replay < cfg_.max_write_queue)
+    throw std::invalid_argument(
+        "Server: decision_replay must be >= max_write_queue");
   if (group == nullptr && role != ShardRole::kStandalone)
     throw std::invalid_argument(
         "Server: a sharded role needs an external ShardGroup");
@@ -330,26 +331,6 @@ void Server::start() {
                              std::strerror(errno));
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (role_ == ShardRole::kReuseportListener) {
-#ifdef SO_REUSEPORT
-    // Every reactor binds its own listener on the same address; the
-    // kernel steers each new connection to exactly one of them.
-    if (::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof one) != 0) {
-      const int err = errno;
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error(std::string("Server: SO_REUSEPORT: ") +
-                               std::strerror(err));
-    }
-#else
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error(
-        "Server: SO_REUSEPORT unsupported on this platform (use "
-        "ShardMode::kHandoff)");
-#endif
-  }
   set_nonblocking_cloexec(listen_fd_);
 
   sockaddr_in addr{};
@@ -580,28 +561,27 @@ void Server::handle_io(int fd, bool readable, bool writable) {
 void Server::handle_frame(Connection& c, const FrameRef& frame) {
   switch (frame.type) {
     case FrameType::kHello:
-      handle_hello(c, decode_hello_request(frame.payload, frame.version),
-                   frame.version);
+      handle_hello(c, decode_hello_request(frame.payload));
       return;
     case FrameType::kSampleBatch:
-      handle_batch(c, frame.payload, frame.version);
+      handle_batch(c, frame.payload);
       return;
     case FrameType::kAggregate:
-      handle_aggregate(c, frame.payload, frame.version);
+      handle_aggregate(c, frame.payload);
       return;
     case FrameType::kStats: {
       PayloadReader r(frame.payload);
       r.expect_done("STATS request");
-      handle_stats(c, frame.version);
+      handle_stats(c);
       return;
     }
     case FrameType::kReload:
-      handle_reload(c, decode_reload_request(frame.payload), frame.version);
+      handle_reload(c, decode_reload_request(frame.payload));
       return;
     case FrameType::kShutdown: {
       PayloadReader r(frame.payload);
       r.expect_done("SHUTDOWN request");
-      handle_shutdown(c, frame.version);
+      handle_shutdown(c);
       return;
     }
     case FrameType::kDecision:
@@ -617,7 +597,7 @@ void Server::handle_frame(Connection& c, const FrameRef& frame) {
 // Attaches a claimed session to `c`, replies with the right handshake
 // frame (HELLO_ACK or SUBSCRIBE_REPLY), and starts replay.
 void Server::attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
-                            std::uint32_t resume_from, std::uint8_t version) {
+                            std::uint32_t resume_from) {
   c.session = std::move(s);
   SessionState& session = *c.session;
   c.state = Connection::State::kStreaming;
@@ -638,7 +618,7 @@ void Server::attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
     rep.session_token = session.token;
     rep.last_applied_seq = session.last_applied_seq;
     rep.resumed = true;
-    encode_aggregate_subscribe_reply_into(rep, buf, version);
+    encode_aggregate_subscribe_reply_into(rep, buf);
     enqueue(c, FrameType::kAggregate, std::move(buf));
   } else {
     HelloReply rep;
@@ -652,7 +632,7 @@ void Server::attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
     rep.session_token = session.token;
     rep.last_applied_seq = session.last_applied_seq;
     rep.resumed = true;
-    encode_hello_reply_into(rep, buf, version);
+    encode_hello_reply_into(rep, buf);
     enqueue(c, FrameType::kHello, std::move(buf));
   }
   HPCAP_INFO << "hpcapd: agent '" << session.agent << "' resumed "
@@ -667,8 +647,7 @@ void Server::attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
 // retry is in flight (no reply yet); with `defer` clear, the resume is
 // rejected for good. Exactly one of `hello` / `agg` describes the ask.
 bool Server::try_claim_resume(Connection& c, const HelloRequest& req,
-                              const AggregateSubscribe* agg,
-                              std::uint8_t version, bool& defer) {
+                              const AggregateSubscribe* agg, bool& defer) {
   defer = false;
   const std::uint64_t token = agg ? agg->resume_token : req.resume_token;
   const std::uint32_t resume_from =
@@ -727,7 +706,7 @@ bool Server::try_claim_resume(Connection& c, const HelloRequest& req,
   }
 
   if (claimed) {
-    attach_resumed(c, std::move(claimed), resume_from, version);
+    attach_resumed(c, std::move(claimed), resume_from);
     return true;
   }
   if (live_elsewhere) {
@@ -753,7 +732,6 @@ bool Server::try_claim_resume(Connection& c, const HelloRequest& req,
     }
     PendingResume pending;
     pending.fd = c.fd;
-    pending.version = version;
     pending.hello = req;
     if (agg != nullptr) pending.agg = *agg;
     pending.deadline =
@@ -817,7 +795,7 @@ void Server::retry_pending_resumes() {
 
     if (claimed) {
       ++stats_.cross_shard_resumes;
-      attach_resumed(c, std::move(claimed), resume_from, p.version);
+      attach_resumed(c, std::move(claimed), resume_from);
       flush_writes(c);
       if (c.doomed) close_connection(p.fd, c.doom_reason);
       continue;
@@ -835,7 +813,7 @@ void Server::retry_pending_resumes() {
       rep.accepted = false;
       rep.message = why != nullptr ? why : "resume eviction timed out";
       rep.model_version = source_.version();
-      encode_aggregate_subscribe_reply_into(rep, buf, p.version);
+      encode_aggregate_subscribe_reply_into(rep, buf);
       enqueue(c, FrameType::kAggregate, std::move(buf));
     } else {
       HelloReply rep;
@@ -843,7 +821,7 @@ void Server::retry_pending_resumes() {
       rep.message = why != nullptr ? why : "resume eviction timed out";
       rep.num_tiers = static_cast<std::uint16_t>(cfg_.num_tiers);
       rep.model_version = source_.version();
-      encode_hello_reply_into(rep, buf, p.version);
+      encode_hello_reply_into(rep, buf);
       enqueue(c, FrameType::kHello, std::move(buf));
     }
     flush_writes(c);
@@ -856,8 +834,7 @@ void Server::retry_pending_resumes() {
   }
 }
 
-void Server::handle_hello(Connection& c, const HelloRequest& req,
-                          std::uint8_t version) {
+void Server::handle_hello(Connection& c, const HelloRequest& req) {
   ++stats_.hellos;
   HelloReply rep;
   rep.num_tiers = static_cast<std::uint16_t>(cfg_.num_tiers);
@@ -870,7 +847,7 @@ void Server::handle_hello(Connection& c, const HelloRequest& req,
     rep.message = message;
     c.close_after_flush = true;
     auto buf = take_spare(c);
-    encode_hello_reply_into(rep, buf, version);
+    encode_hello_reply_into(rep, buf);
     enqueue(c, FrameType::kHello, std::move(buf));
   };
 
@@ -879,9 +856,9 @@ void Server::handle_hello(Connection& c, const HelloRequest& req,
     return;
   }
 
-  if (version >= 2 && req.resume_token != 0) {
+  if (req.resume_token != 0) {
     bool defer = false;
-    if (try_claim_resume(c, req, nullptr, version, defer)) return;
+    if (try_claim_resume(c, req, nullptr, defer)) return;
     if (defer) return;  // reply comes from retry_pending_resumes
     ++stats_.resume_rejected;
     // try_claim_resume's reject reasons collapse to the observable
@@ -930,8 +907,7 @@ void Server::handle_hello(Connection& c, const HelloRequest& req,
   }
 
   SessionState& s = *session;
-  s.version = version;
-  s.token = version >= 2 ? group_->next_token() : 0;
+  s.token = group_->next_token();
   s.agent = req.agent;
   s.level = req.level;
   s.window = req.window;
@@ -955,7 +931,7 @@ void Server::handle_hello(Connection& c, const HelloRequest& req,
     s.uplink_votes.assign(uplink_->coverage().size(), 0);
     s.uplink_valid.assign(uplink_->coverage().size(), 0);
   }
-  if (s.token != 0) {
+  {
     util::MutexLock lock(&group_->mu);
     group_->dir->live[s.token] = shard_id_;
   }
@@ -970,46 +946,39 @@ void Server::handle_hello(Connection& c, const HelloRequest& req,
   rep.last_applied_seq = 0;
   rep.resumed = false;
   auto buf = take_spare(c);
-  encode_hello_reply_into(rep, buf, version);
+  encode_hello_reply_into(rep, buf);
   enqueue(c, FrameType::kHello, std::move(buf));
   HPCAP_INFO << "hpcapd: agent '" << s.agent << "' streaming " << s.level
              << " level, window " << s.window << ", model v"
-             << s.model_version << ", protocol v"
-             << static_cast<int>(version);
+             << s.model_version;
 }
 
 // hpcap-lint: hot-path
 void Server::handle_batch(Connection& c,
-                          std::span<const std::uint8_t> payload,
-                          std::uint8_t version) {
+                          std::span<const std::uint8_t> payload) {
   if (c.state != Connection::State::kStreaming)
     throw ProtocolError("wire protocol: SAMPLE_BATCH before HELLO");
   SessionState& s = *c.session;
   if (s.aggregate)
     throw ProtocolError(
         "wire protocol: SAMPLE_BATCH on an aggregate session");
-  if (version != s.version)
-    throw ProtocolError("wire protocol: SAMPLE_BATCH version mismatch");
-  const SampleBatchView batch =
-      decode_sample_batch_view(payload, s.arena, version);
+  const SampleBatchView batch = decode_sample_batch_view(payload, s.arena);
   const std::size_t tiers = static_cast<std::size_t>(cfg_.num_tiers);
 
-  if (s.version >= 2) {
-    if (batch.batch_seq == 0)
-      throw ProtocolError("wire protocol: zero batch sequence");
-    if (batch.batch_seq <= s.last_applied_seq) {
-      // A replay of a batch already applied (client retransmitting after
-      // resume): acknowledge it again and touch nothing else — this is
-      // the dedup half of exactly-once.
-      ++stats_.batches_deduped;
-      enqueue_ack(c);
-      return;
-    }
-    if (batch.batch_seq != s.last_applied_seq + 1)
-      throw ProtocolError("wire protocol: batch sequence gap: expected " +
-                          std::to_string(s.last_applied_seq + 1) + ", got " +
-                          std::to_string(batch.batch_seq));
+  if (batch.batch_seq == 0)
+    throw ProtocolError("wire protocol: zero batch sequence");
+  if (batch.batch_seq <= s.last_applied_seq) {
+    // A replay of a batch already applied (client retransmitting after
+    // resume): acknowledge it again and touch nothing else — this is
+    // the dedup half of exactly-once.
+    ++stats_.batches_deduped;
+    enqueue_ack(c);
+    return;
   }
+  if (batch.batch_seq != s.last_applied_seq + 1)
+    throw ProtocolError("wire protocol: batch sequence gap: expected " +
+                        std::to_string(s.last_applied_seq + 1) + ", got " +
+                        std::to_string(batch.batch_seq));
 
   // Structural pre-validation so the application loop below cannot throw
   // midway: a batch is applied whole or not at all, which exactly-once
@@ -1067,21 +1036,15 @@ void Server::handle_batch(Connection& c,
     }
   }
   flush_decisions(c);
-
-  if (s.version >= 2) {
-    s.last_applied_seq = batch.batch_seq;
-    enqueue_ack(c);
-  }
+  s.last_applied_seq = batch.batch_seq;
+  enqueue_ack(c);
 }
 
 void Server::handle_aggregate(Connection& c,
-                              std::span<const std::uint8_t> payload,
-                              std::uint8_t version) {
-  if (version < 2)
-    throw ProtocolError("wire protocol: AGGREGATE frames require v2");
+                              std::span<const std::uint8_t> payload) {
   switch (peek_aggregate_kind(payload)) {
     case AggregateKind::kSubscribe:
-      handle_agg_subscribe(c, decode_aggregate_subscribe(payload), version);
+      handle_agg_subscribe(c, decode_aggregate_subscribe(payload));
       return;
     case AggregateKind::kVotes:
       handle_agg_votes(c, decode_aggregate_batch(payload));
@@ -1093,8 +1056,7 @@ void Server::handle_aggregate(Connection& c,
 }
 
 void Server::handle_agg_subscribe(Connection& c,
-                                  const AggregateSubscribe& req,
-                                  std::uint8_t version) {
+                                  const AggregateSubscribe& req) {
   ++stats_.agg_subscribes;
   AggregateSubscribeReply rep;
   rep.model_version = source_.version();
@@ -1105,7 +1067,7 @@ void Server::handle_agg_subscribe(Connection& c,
     rep.message = message;
     c.close_after_flush = true;
     auto buf = take_spare(c);
-    encode_aggregate_subscribe_reply_into(rep, buf, version);
+    encode_aggregate_subscribe_reply_into(rep, buf);
     enqueue(c, FrameType::kAggregate, std::move(buf));
   };
 
@@ -1117,7 +1079,7 @@ void Server::handle_agg_subscribe(Connection& c,
   if (req.resume_token != 0) {
     HelloRequest unused;
     bool defer = false;
-    if (try_claim_resume(c, unused, &req, version, defer)) return;
+    if (try_claim_resume(c, unused, &req, defer)) return;
     if (defer) return;  // reply comes from retry_pending_resumes
     ++stats_.resume_rejected;
     send_reject("unknown or expired resume token");
@@ -1154,7 +1116,6 @@ void Server::handle_agg_subscribe(Connection& c,
   auto session = std::make_unique<SessionState>();
   SessionState& s = *session;
   s.aggregate = true;
-  s.version = version;
   s.token = token;
   s.agent = req.leaf;
   s.coverage = req.synopses;
@@ -1168,7 +1129,7 @@ void Server::handle_agg_subscribe(Connection& c,
   rep.last_applied_seq = 0;
   rep.resumed = false;
   auto buf = take_spare(c);
-  encode_aggregate_subscribe_reply_into(rep, buf, version);
+  encode_aggregate_subscribe_reply_into(rep, buf);
   enqueue(c, FrameType::kAggregate, std::move(buf));
   HPCAP_INFO << "hpcapd: leaf '" << s.agent << "' subscribed ("
              << s.coverage.size() << " of " << rep.num_synopses
@@ -1292,15 +1253,15 @@ void Server::deliver_fleet_local(Connection& c,
     s.window_index = frame.window_index + 1;
     if (!c.replaying) {
       auto buf = take_spare(c);
-      encode_decision_into(frame, buf, s.version);
+      encode_decision_into(frame, buf);
       enqueue(c, FrameType::kDecision, std::move(buf));
     }
   }
   flush_writes(c);
 }
 
-// Permanent retirement of a tokened session (linger expiry, non-resumable
-// close, eviction of the linger cap's oldest). Aggregate sessions leave
+// Permanent retirement of a session (linger expiry, non-resumable close,
+// eviction of the linger cap's oldest). Aggregate sessions leave
 // the fleet: their coverage unsubscribes and any windows that were
 // waiting on them decide degraded and fan out.
 void Server::retire_session(SessionState& s) {
@@ -1328,8 +1289,7 @@ void Server::flush_decisions(Connection& c) {
                                 s.dim};
   // Leaf mode additionally exports the per-window GPV for the uplink;
   // the decisions themselves are bit-identical either way.
-  const bool export_votes =
-      uplink_ != nullptr && s.version >= 2 && !s.votes_out.empty();
+  const bool export_votes = uplink_ != nullptr && !s.votes_out.empty();
   const std::size_t m = export_votes ? s.monitor->synopses().size() : 0;
   if (export_votes) {
     s.monitor->predict_masked_many(block, s.block_valid.data(),
@@ -1372,20 +1332,18 @@ void Server::flush_decisions(Connection& c) {
                      std::span(s.uplink_votes.data(), cov.size()),
                      std::span(s.uplink_valid.data(), cov.size()));
     }
-    if (s.version >= 2) {
-      // Retain for resume replay. The ring is bounded by decision_replay
-      // (the pop below) and DecisionFrame is trivially copyable, so the
-      // deque stops allocating once it reaches its high-water size.
-      // hpcap-lint: allow(hot-path-alloc)
-      s.replay.push_back(frame);
-      if (s.replay.size() > cfg_.decision_replay) {
-        s.replay.pop_front();
-        ++s.replay_first_window;
-      }
+    // Retain for resume replay. The ring is bounded by decision_replay
+    // (the pop below) and DecisionFrame is trivially copyable, so the
+    // deque stops allocating once it reaches its high-water size.
+    // hpcap-lint: allow(hot-path-alloc)
+    s.replay.push_back(frame);
+    if (s.replay.size() > cfg_.decision_replay) {
+      s.replay.pop_front();
+      ++s.replay_first_window;
     }
     if (!c.replaying) {
       auto buf = take_spare(c);
-      encode_decision_into(frame, buf, s.version);
+      encode_decision_into(frame, buf);
       enqueue(c, FrameType::kDecision, std::move(buf));
     }
   }
@@ -1404,12 +1362,12 @@ void Server::enqueue_ack(Connection& c) {
     Connection::OutFrame& tail = c.write_queue.back();
     if (tail.type == FrameType::kAck && tail.offset == 0) {
       tail.bytes.clear();
-      encode_ack_into(ack, tail.bytes, s.version);
+      encode_ack_into(ack, tail.bytes);
       return;
     }
   }
   auto buf = take_spare(c);
-  encode_ack_into(ack, buf, s.version);
+  encode_ack_into(ack, buf);
   enqueue(c, FrameType::kAck, std::move(buf));
 }
 
@@ -1434,7 +1392,7 @@ void Server::feed_replay(Connection& c) {
     const std::size_t idx =
         static_cast<std::size_t>(c.replay_next - s.replay_first_window);
     auto buf = take_spare(c);
-    encode_decision_into(s.replay[idx], buf, s.version);
+    encode_decision_into(s.replay[idx], buf);
     enqueue(c, FrameType::kDecision, std::move(buf));
     ++c.replay_next;
   }
@@ -1506,14 +1464,13 @@ StatsReply Server::build_stats() const {
   return rep;
 }
 
-void Server::handle_stats(Connection& c, std::uint8_t version) {
+void Server::handle_stats(Connection& c) {
   auto buf = take_spare(c);
-  encode_stats_reply_into(build_stats(), buf, version);
+  encode_stats_reply_into(build_stats(), buf);
   enqueue(c, FrameType::kStats, std::move(buf));
 }
 
-void Server::handle_reload(Connection& c, const ReloadRequest& req,
-                           std::uint8_t version) {
+void Server::handle_reload(Connection& c, const ReloadRequest& req) {
   ReloadReply rep;
   if (!control_allowed_) {
     ++stats_.control_rejected;
@@ -1522,7 +1479,7 @@ void Server::handle_reload(Connection& c, const ReloadRequest& req,
     rep.message = "remote control disabled on this bind";
     HPCAP_WARN << "hpcapd: RELOAD refused (control policy)";
     auto buf = take_spare(c);
-    encode_reload_reply_into(rep, buf, version);
+    encode_reload_reply_into(rep, buf);
     enqueue(c, FrameType::kReload, std::move(buf));
     return;
   }
@@ -1541,7 +1498,7 @@ void Server::handle_reload(Connection& c, const ReloadRequest& req,
   }
   rep.model_version = source_.version();
   auto buf = take_spare(c);
-  encode_reload_reply_into(rep, buf, version);
+  encode_reload_reply_into(rep, buf);
   enqueue(c, FrameType::kReload, std::move(buf));
 }
 
@@ -1558,7 +1515,7 @@ void Server::request_reload() {
   }
 }
 
-void Server::handle_shutdown(Connection& c, std::uint8_t version) {
+void Server::handle_shutdown(Connection& c) {
   if (!control_allowed_) {
     ++stats_.control_rejected;
     HPCAP_WARN << "hpcapd: SHUTDOWN refused (control policy); dropping peer";
@@ -1567,7 +1524,7 @@ void Server::handle_shutdown(Connection& c, std::uint8_t version) {
   }
   c.close_after_flush = true;
   auto buf = take_spare(c);
-  encode_shutdown_into(buf, version);
+  encode_shutdown_into(buf);
   enqueue(c, FrameType::kShutdown, std::move(buf));
   begin_shutdown();
 }
@@ -1621,6 +1578,10 @@ void Server::begin_shutdown() {
   });
 }
 
+bool Server::resumable() const noexcept {
+  return cfg_.session_linger > 0 && !draining_;
+}
+
 void Server::enqueue(Connection& c, FrameType type,
                      std::vector<std::uint8_t> frame) {
   if (c.doomed) return;
@@ -1634,15 +1595,14 @@ void Server::enqueue(Connection& c, FrameType type,
     if (c.doomed) return;
   }
   if (c.write_queue.size() >= cfg_.max_write_queue) {
-    // A resumable v2 session is promised exactly-once decision delivery,
+    // A resumable session is promised exactly-once decision delivery,
     // and shedding on a connection that stays up would be a silent gap
     // the client can never detect — it would wait forever for a window
     // that is not coming. Drop the connection instead: the decisions are
     // already in the replay ring, and reconnect + resume redelivers
-    // them. (decision_replay >= max_write_queue keeps the gap coverable;
-    // both are daemon-side knobs.)
-    if (c.session && c.session->version >= 2 && c.session->token != 0 &&
-        cfg_.session_linger > 0 && !draining_) {
+    // them. (The constructor's decision_replay >= max_write_queue check
+    // keeps the gap coverable.)
+    if (c.session && resumable()) {
       ++stats_.write_queue_overflows;
       HPCAP_WARN << "hpcapd: fd " << c.fd
                  << " not draining decisions; dropping resumable session "
@@ -1650,8 +1610,8 @@ void Server::enqueue(Connection& c, FrameType type,
       doom(c, "write queue overflow");
       return;
     }
-    // v1 (no resume protocol): shed the oldest queued DECISION (stale by
-    // the time a stalled agent reads it); control frames always survive.
+    // Not resumable: shed the oldest queued DECISION (stale by the time
+    // a stalled agent reads it); control frames always survive.
     bool shed = false;
     for (auto it = c.write_queue.begin(); it != c.write_queue.end(); ++it) {
       if (it->type == FrameType::kDecision && it->offset == 0) {
@@ -1775,13 +1735,12 @@ void Server::close_connection(int fd, const char* why) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Connection& c = *it->second;
-  // Park resumable v2 sessions instead of destroying their stream state;
+  // Park resumable sessions instead of destroying their stream state;
   // the linger sweep (or a resuming client, on any reactor) decides
   // their fate.
   std::unique_ptr<SessionState> evicted;  // linger-cap victim
   std::unique_ptr<SessionState> retired;  // permanently closed session
-  if (c.session && c.session->version >= 2 && c.session->token != 0 &&
-      cfg_.session_linger > 0 && !draining_) {
+  if (c.session && resumable()) {
     SessionState& s = *c.session;
     s.detached_at = loop_.now();
     ++stats_.sessions_detached;
@@ -1806,10 +1765,9 @@ void Server::close_connection(int fd, const char* why) {
                   << cfg_.session_linger << "s";
       dir.lingering.emplace(s.token, std::move(it->second->session));
     }
-  } else if (c.session && c.session->token != 0) {
-    // Not resumable (v1 tokenless sessions never get here): the session
-    // leaves for good — deregister and retire below, outside the map
-    // erase so fan-out can still run.
+  } else if (c.session) {
+    // Not resumable: the session leaves for good — deregister and retire
+    // below, outside the map erase so fan-out can still run.
     {
       util::MutexLock lock(&group_->mu);
       group_->dir->live.erase(c.session->token);

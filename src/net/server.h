@@ -13,16 +13,15 @@
 // Sessions and connections are distinct objects: the Connection is the
 // socket (deadlines, assembler, write queue) and the SessionState is the
 // stream state (aggregators, validator, monitor, sequence bookkeeping).
-// On a v2 connection the session survives its socket — when the peer
-// vanishes, the session detaches into a linger directory for
-// cfg.session_linger seconds, and a client reconnecting with the resume
-// token from HELLO_ACK reattaches it: the daemon reports its
-// last-applied batch sequence, dedups any batches the client replays,
-// and re-streams retained DECISIONs from the client's resume window. The
-// result is exactly-once application end to end — the decision stream
-// across any disconnect/reconnect schedule is bit-identical to a run
-// with no failures. Sessions nobody reclaims are expired by the sweep
-// (`sessions_expired` in STATS).
+// The session survives its socket — when the peer vanishes, the session
+// detaches into a linger directory for cfg.session_linger seconds, and
+// a client reconnecting with the resume token from HELLO_ACK reattaches
+// it: the daemon reports its last-applied batch sequence, dedups any
+// batches the client replays, and re-streams retained DECISIONs from
+// the client's resume window. The result is exactly-once application
+// end to end — the decision stream across any disconnect/reconnect
+// schedule is bit-identical to a run with no failures. Sessions nobody
+// reclaims are expired by the sweep (`sessions_expired` in STATS).
 //
 // Sharding (ISSUE 8): a daemon may run N reactors, each a private
 // EventLoop + Server on its own thread. A connection is owned by exactly
@@ -32,13 +31,13 @@
 // spine is the ShardGroup: fleet-wide atomic stats, the linger directory
 // (mutex-guarded — resumes may land on any reactor), a live token->shard
 // registry, and one mailbox per shard drained via the loop's wake()
-// self-pipe. Accepted sockets are distributed either by kernel
-// SO_REUSEPORT steering (each reactor has its own listener) or by an
-// accept-and-hand-off leader posting fds to workers' mailboxes. A resume
-// token landing on the "wrong" reactor is resolved through the
-// directory: lingering sessions are claimed directly; a session still
-// live on another shard is evicted there (kEvictToken mail) and claimed
-// when it parks. For any fixed connection->reactor assignment the
+// self-pipe. Reactor 0 owns the only listener and hands accepted sockets
+// to the reactors round-robin through their mailboxes (keeping its own
+// share), so connection placement is deterministic. A resume token
+// landing on the "wrong" reactor is resolved through the directory:
+// lingering sessions are claimed directly; a session still live on
+// another shard is evicted there (kEvictToken mail) and claimed when it
+// parks. For any fixed connection->reactor assignment the
 // decision streams are bit-identical to the single-reactor daemon.
 //
 // Aggregation (ISSUE 8): a leaf daemon given cfg.parent_host streams
@@ -46,7 +45,7 @@
 // parent hpcapd; the parent's aggregate sessions (AGGREGATE frames,
 // net/aggregate.h) merge the disjoint per-leaf slices in a
 // FleetAggregator and stream fleet DECISIONs back down. Aggregate
-// sessions reuse the whole v2 session machinery — tokens, seq dedup,
+// sessions reuse the whole session machinery — tokens, seq dedup,
 // ACKs, linger/resume, replay rings.
 //
 // The receive path is zero-copy end to end: frames are dispatched as
@@ -65,17 +64,20 @@
 // cannot perturb each other's predictor state.
 //
 // Flow control: the per-connection write queue is bounded. When an agent
-// stops draining its socket, the oldest queued DECISION frames are shed
-// with a warning — a stale decision is worthless by the time a stalled
-// agent would read it — mirroring core::OnlineAdapter::max_pending.
-// (On v2 a shed decision is not gone for good: it stays in the session's
-// replay ring, and a client that spots the gap resumes and re-fetches
-// it.) Control replies (HELLO/STATS/RELOAD/SHUTDOWN/ACK) are never shed;
-// if the queue fills with control frames a peer refuses to read, the
-// connection is dropped instead, so the bound holds unconditionally.
-// Resume replay is fed through a cursor at a queue watermark rather than
-// enqueued wholesale, so reattaching far behind cannot overflow the
-// bound either.
+// stops draining its socket, a resumable session (cfg.session_linger > 0
+// and the daemon not draining) is dropped: its decisions are already in
+// the replay ring, and reconnect + resume redelivers them exactly once
+// (cfg.decision_replay >= cfg.max_write_queue keeps every queued window
+// in the ring). A non-resumable session — session_linger 0, or any
+// session while the daemon drains — sheds its oldest queued DECISION
+// frames instead, with a warning: a stale decision is worthless by the
+// time a stalled agent would read it, mirroring
+// core::OnlineAdapter::max_pending. Control replies
+// (HELLO/STATS/RELOAD/SHUTDOWN/ACK) are never shed; if the queue fills
+// with control frames a peer refuses to read, the connection is dropped
+// instead, so the bound holds unconditionally. Resume replay is fed
+// through a cursor at a queue watermark rather than enqueued wholesale,
+// so reattaching far behind cannot overflow the bound either.
 //
 // Lifecycle: RELOAD frames (and SIGHUP via Server::request_reload) swap
 // the model source atomically; live sessions keep the instance they
@@ -88,10 +90,9 @@
 // refuses them unless the operator opts in explicitly. Half-open sockets
 // that never HELLO and idle streams are reaped by deadline sweeps.
 //
-// Version negotiation: every control reply is encoded at the version of
-// the request's frame header, and a session runs at the version of its
-// HELLO — a v1 agent never sees a v2 frame and gets the PR 4 behavior
-// unchanged (no sequencing, no ACKs, no resume).
+// One wire version: every frame carries kProtocolVersion in its header,
+// and a frame with any other version byte is malformed — the connection
+// is dropped and `malformed_frames` counts it.
 #pragma once
 
 #include <atomic>
@@ -121,19 +122,11 @@ struct SessionState;
 // override that in either direction.
 enum class ControlPolicy { kAuto, kAllow, kDeny };
 
-// How accepted sockets reach the reactors when cfg.reactors > 1. kAuto
-// resolves to kReuseport where the platform supports SO_REUSEPORT
-// (kernel steers new connections across the per-reactor listeners) and
-// falls back to kHandoff (reactor 0 accepts and posts fds to the other
-// reactors' mailboxes round-robin) otherwise.
-enum class ShardMode { kAuto, kReuseport, kHandoff };
-
 // This reactor's part in the sharding arrangement (ShardedServer picks).
 enum class ShardRole {
-  kStandalone,        // classic single-reactor daemon; owns everything
-  kReuseportListener, // one of N reactors, each with its own listener
-  kHandoffLeader,     // owns the only listener; distributes accepts
-  kHandoffWorker,     // no listener; receives accepts by mailbox
+  kStandalone,     // classic single-reactor daemon; owns everything
+  kHandoffLeader,  // owns the only listener; distributes accepts
+  kHandoffWorker,  // no listener; receives accepts by mailbox
 };
 
 struct ServerConfig {
@@ -146,8 +139,9 @@ struct ServerConfig {
   double idle_timeout = 300.0;
   double sweep_period = 1.0;      // deadline-sweep cadence
   double shutdown_grace = 5.0;    // drain budget after SHUTDOWN
-  // Backpressure bound: max frames queued toward one agent before the
-  // oldest DECISION frames are shed.
+  // Backpressure bound: max frames queued toward one agent before a
+  // resumable session is dropped for replay (or, on a non-resumable one,
+  // the oldest DECISION frames are shed).
   std::size_t max_write_queue = 256;
   // SO_SNDBUF for accepted sockets; 0 = OS default. Tests shrink it so a
   // non-draining agent hits the write-queue bound quickly.
@@ -161,12 +155,14 @@ struct ServerConfig {
   // RELOAD/SHUTDOWN authorization (see ControlPolicy above).
   ControlPolicy control_policy = ControlPolicy::kAuto;
 
-  // --- v2 session resume ---------------------------------------------
-  // Seconds a detached v2 session waits for its client to resume before
-  // being expired (<= 0 disables lingering entirely).
+  // --- session resume ------------------------------------------------
+  // Seconds a detached session waits for its client to resume before
+  // being expired (<= 0 disables lingering: sessions are not resumable).
   double session_linger = 30.0;
   // DECISION frames retained per session for resume replay; a client
-  // whose resume point has fallen out of this ring cannot resume.
+  // whose resume point has fallen out of this ring cannot resume. Must
+  // be >= max_write_queue, so a session dropped for a full write queue
+  // can always replay every decision that was queued.
   std::size_t decision_replay = 8192;
   // Cap on simultaneously lingering sessions; the oldest is expired
   // early when the cap is hit.
@@ -176,7 +172,6 @@ struct ServerConfig {
 
   // --- sharding & aggregation (ISSUE 8) ------------------------------
   std::size_t reactors = 1;           // event-loop threads (>= 1)
-  ShardMode shard_mode = ShardMode::kAuto;
   // Max leaf subscriptions the daemon's FleetAggregator accepts.
   std::size_t agg_fanin = 16;
   // Leaf mode: stream decided windows' GPVs to this parent hpcapd
@@ -249,12 +244,12 @@ struct ServerStats {
   StatCounter windows_discarded;  // per-tier windows failing the gap check
   StatCounter rows_rejected;      // per-tier rows failing RowValidator
   StatCounter decisions;
-  StatCounter decisions_shed;
+  StatCounter decisions_shed;  // non-resumable sessions only
   StatCounter write_queue_overflows;  // peers dropped for a full queue
   StatCounter control_rejected;  // RELOAD/SHUTDOWN refused by policy
   StatCounter reloads;
   StatCounter reload_failures;
-  // v2 session resume.
+  // Session resume.
   StatCounter sessions_detached;  // sessions parked on disconnect
   StatCounter sessions_resumed;
   StatCounter sessions_expired;   // linger deadline passed, state freed
@@ -314,7 +309,7 @@ class ShardGroup {
   ServerStats stats;
 
   // Directory of sessions not currently attached on some reactor
-  // (lingering) plus where every live v2 session token resides. Guarded
+  // (lingering) plus where every live session token resides. Guarded
   // by `mu`; SessionState is defined in server.cpp. `mu` is leaf-level:
   // no mailbox post or enqueue happens while it is held (hpcap_lint's
   // reactor-confinement rule enforces it; see docs/API.md "Concurrency
@@ -344,6 +339,7 @@ class Server {
   // The server borrows `loop`, `source` and (when non-null) `group`; all
   // must outlive it. A null `group` makes a self-contained daemon: the
   // server owns a private single-shard group (role must be kStandalone).
+  // Throws std::invalid_argument on an invalid cfg.
   Server(EventLoop& loop, core::MonitorSource& source, ServerConfig cfg,
          ShardGroup* group = nullptr,
          ShardRole role = ShardRole::kStandalone);
@@ -392,19 +388,14 @@ class Server {
   void accept_ready();
   void handle_io(int fd, bool readable, bool writable);
   void handle_frame(Connection& c, const FrameRef& frame);
-  void handle_hello(Connection& c, const HelloRequest& req,
-                    std::uint8_t version);
-  void handle_batch(Connection& c, std::span<const std::uint8_t> payload,
-                    std::uint8_t version);
-  void handle_aggregate(Connection& c, std::span<const std::uint8_t> payload,
-                        std::uint8_t version);
-  void handle_agg_subscribe(Connection& c, const AggregateSubscribe& req,
-                            std::uint8_t version);
+  void handle_hello(Connection& c, const HelloRequest& req);
+  void handle_batch(Connection& c, std::span<const std::uint8_t> payload);
+  void handle_aggregate(Connection& c, std::span<const std::uint8_t> payload);
+  void handle_agg_subscribe(Connection& c, const AggregateSubscribe& req);
   void handle_agg_votes(Connection& c, const AggregateBatch& batch);
-  void handle_stats(Connection& c, std::uint8_t version);
-  void handle_reload(Connection& c, const ReloadRequest& req,
-                     std::uint8_t version);
-  void handle_shutdown(Connection& c, std::uint8_t version);
+  void handle_stats(Connection& c);
+  void handle_reload(Connection& c, const ReloadRequest& req);
+  void handle_shutdown(Connection& c);
   // Decides every window accumulated in the session's block scratch
   // (one predict_masked_many call), records them in the replay ring and
   // enqueues the DECISION frames; it does not flush. In leaf mode also
@@ -421,9 +412,11 @@ class Server {
   // fresh one; returned to the pool by flush_writes once fully sent.
   std::vector<std::uint8_t> take_spare(Connection& c);
 
-  // `frame` must be a full encoded frame. DECISION frames are sheddable;
-  // everything else is control traffic and survives unless the queue is
-  // full of unread control frames, which dooms the connection. Callers
+  // `frame` must be a full encoded frame. On a full queue a resumable
+  // session is doomed for replay; otherwise DECISION frames are
+  // sheddable and everything else is control traffic that survives
+  // unless the queue is full of unread control frames, which dooms the
+  // connection. Callers
   // batch frames and flush once; the flush points are (a) the end of
   // handle_io, (b) a kObserveBlock decision block filling mid-batch,
   // (c) here, when the queue is full, before anything is shed or
@@ -442,10 +435,12 @@ class Server {
 
   // Resume plumbing across the group directory (see server.cpp).
   bool try_claim_resume(Connection& c, const HelloRequest& req,
-                        const AggregateSubscribe* agg, std::uint8_t version,
-                        bool& defer);
+                        const AggregateSubscribe* agg, bool& defer);
   void attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
-                      std::uint32_t resume_from, std::uint8_t version);
+                      std::uint32_t resume_from);
+  // Whether a session dropped now could be resumed: lingering enabled
+  // and the daemon not draining.
+  bool resumable() const noexcept;
   void retry_pending_resumes();
   // Fans freshly decided fleet windows out to subscriber sessions
   // wherever they live (this shard inline, other shards by mail,

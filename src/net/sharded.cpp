@@ -1,46 +1,24 @@
 #include "net/sharded.h"
 
-#include <sys/socket.h>
-
 #include <stdexcept>
 #include <utility>
 
 namespace hpcap::net {
 
-namespace {
-
-constexpr bool kHaveReuseport =
-#ifdef SO_REUSEPORT
-    true;
-#else
-    false;
-#endif
-
-}  // namespace
-
-ShardedServer::ShardedServer(core::MonitorSource& source, ServerConfig cfg,
-                             LoopBackend backend)
+ShardedServer::ShardedServer(core::MonitorSource& source, ServerConfig cfg)
     : source_(source), cfg_(std::move(cfg)), group_(cfg_.token_seed) {
   if (cfg_.reactors < 1)
     throw std::invalid_argument("ShardedServer: reactors must be >= 1");
-  mode_ = cfg_.shard_mode;
-  if (mode_ == ShardMode::kAuto)
-    mode_ = kHaveReuseport ? ShardMode::kReuseport : ShardMode::kHandoff;
-  if (mode_ == ShardMode::kReuseport && !kHaveReuseport)
-    throw std::runtime_error(
-        "ShardedServer: SO_REUSEPORT unsupported on this platform");
 
   loops_.reserve(cfg_.reactors);
   for (std::size_t i = 0; i < cfg_.reactors; ++i)
-    loops_.push_back(std::make_unique<EventLoop>(backend));
+    loops_.push_back(std::make_unique<EventLoop>());
 
   // Reactor 0 exists from construction (signal handlers hook its loop);
-  // followers are built in start(), once reactor 0 has resolved an
-  // ephemeral port they must share.
+  // workers are built in start(), once reactor 0 has resolved the
+  // ephemeral port they report.
   const ShardRole role0 = cfg_.reactors == 1 ? ShardRole::kStandalone
-                          : mode_ == ShardMode::kReuseport
-                              ? ShardRole::kReuseportListener
-                              : ShardRole::kHandoffLeader;
+                                              : ShardRole::kHandoffLeader;
   servers_.push_back(std::make_unique<Server>(*loops_[0], source_, cfg_,
                                               &group_, role0));
 }
@@ -76,14 +54,11 @@ void ShardedServer::start() {
   if (uplink_ != nullptr) servers_[0]->set_uplink(uplink_);
   servers_[0]->start();
   port_ = servers_[0]->port();
-  cfg_.port = port_;  // followers bind (reuseport) or report this port
+  cfg_.port = port_;  // workers report this port
 
-  const ShardRole follower_role = mode_ == ShardMode::kReuseport
-                                      ? ShardRole::kReuseportListener
-                                      : ShardRole::kHandoffWorker;
   for (std::size_t i = 1; i < cfg_.reactors; ++i) {
-    servers_.push_back(std::make_unique<Server>(*loops_[i], source_, cfg_,
-                                                &group_, follower_role));
+    servers_.push_back(std::make_unique<Server>(
+        *loops_[i], source_, cfg_, &group_, ShardRole::kHandoffWorker));
     if (uplink_ != nullptr) servers_[i]->set_uplink(uplink_);
     servers_[i]->start();
   }

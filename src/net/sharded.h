@@ -1,10 +1,11 @@
 // Multi-reactor hpcapd: N event loops on N threads behind one port.
 //
 // ShardedServer is the assembly layer over ShardGroup + Server. It
-// builds one EventLoop + Server pair per reactor, resolves ShardMode
-// (SO_REUSEPORT per-reactor listeners where the platform has it, an
-// accept-and-hand-off leader otherwise), wires every loop's wake handler
-// to drain_mailbox, and runs reactors 1..N-1 on their own threads while
+// builds one EventLoop + Server pair per reactor — reactor 0 the
+// hand-off leader that owns the only listener and deals accepted
+// sockets round-robin (its own share included), the rest workers fed
+// through their mailboxes — wires every loop's wake handler to
+// drain_mailbox, and runs reactors 1..N-1 on their own threads while
 // start()/join() bracket the whole fleet from the caller's thread.
 //
 // Ownership stays strictly per-reactor (see server.h): the shared spine
@@ -28,8 +29,7 @@ class ShardedServer {
   // Borrows `source` (must outlive the ShardedServer). cfg.reactors must
   // be >= 1; a single reactor degenerates to one standalone-equivalent
   // loop, still runnable through start()/join().
-  ShardedServer(core::MonitorSource& source, ServerConfig cfg,
-                LoopBackend backend = LoopBackend::kAuto);
+  ShardedServer(core::MonitorSource& source, ServerConfig cfg);
   ~ShardedServer();
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
@@ -57,14 +57,11 @@ class ShardedServer {
   Server& shard(std::size_t i) { return *servers_.at(i); }
   EventLoop& loop(std::size_t i) { return *loops_.at(i); }
   ShardGroup& group() noexcept { return group_; }
-  // The sharding strategy start() resolved (kAuto never survives).
-  ShardMode mode() const noexcept { return mode_; }
 
  private:
   core::MonitorSource& source_;
   ServerConfig cfg_;
   ShardGroup group_;
-  ShardMode mode_ = ShardMode::kAuto;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::thread> threads_;

@@ -264,16 +264,9 @@ TEST(NetAggregate, TwoLevelTreeMatchesFlatSingleDaemon) {
 TEST(NetAggregate, SubscribeRejectsOverlapOutOfRangeEmptyAndLateJoin) {
   Daemon daemon(wire_bundle());
 
-  Client v1;
-  v1.set_protocol_version(1);
-  v1.connect("127.0.0.1", daemon.server->port());
-  AggregateSubscribe req;
-  req.leaf = "v1";
-  req.synopses = {0};
-  EXPECT_THROW(v1.aggregate_subscribe(req), std::invalid_argument);
-
   Client a;
   a.connect("127.0.0.1", daemon.server->port());
+  AggregateSubscribe req;
   req.leaf = "a";
   req.synopses = {0};
   const AggregateSubscribeReply ra = a.aggregate_subscribe(req);

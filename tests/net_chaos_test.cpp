@@ -457,7 +457,6 @@ TEST(NetChaos, KilledConnectionsResumeExactlyOnce) {
 TEST(NetChaos, TwoReactorKilledConnectionsResumeBitIdentical) {
   net::ServerConfig cfg = test_config();
   cfg.reactors = 2;
-  cfg.shard_mode = net::ShardMode::kHandoff;
 
   core::MonitorSource source = core::MonitorSource::from_bytes(bundle());
   net::ShardedServer server(source, cfg);

@@ -30,10 +30,9 @@ struct GoldenFrame {
   std::function<void(std::span<const std::uint8_t>)> decode;
 };
 
-// A stream exercising every frame type at both wire versions (mixed
-// freely, as version negotiation allows on one connection), boundary
-// values included (NaN/Inf doubles survive bit-exactly; empty strings;
-// absent tier slots).
+// A stream exercising every frame type, boundary values included
+// (NaN/Inf doubles survive bit-exactly; empty strings; absent tier
+// slots).
 std::vector<GoldenFrame> golden_frames() {
   std::vector<GoldenFrame> frames;
 
@@ -44,10 +43,8 @@ std::vector<GoldenFrame> golden_frames() {
   hreq.window = 8;
   hreq.resume_token = 0xD00DFEEDull;
   hreq.resume_from_window = 17;
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    frames.push_back({encode_hello_request(hreq, v),
-                      [v](auto p) { (void)decode_hello_request(p, v); }});
-  }
+  frames.push_back({encode_hello_request(hreq),
+                    [](auto p) { (void)decode_hello_request(p); }});
 
   HelloReply hrep;
   hrep.accepted = true;
@@ -58,10 +55,8 @@ std::vector<GoldenFrame> golden_frames() {
   hrep.dims = {14, 14, 6};
   hrep.session_token = 0x1234ull;
   hrep.last_applied_seq = 3;
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    frames.push_back({encode_hello_reply(hrep, v),
-                      [v](auto p) { (void)decode_hello_reply(p, v); }});
-  }
+  frames.push_back({encode_hello_reply(hrep),
+                    [](auto p) { (void)decode_hello_reply(p); }});
 
   SampleBatch batch;
   batch.batch_seq = 0xFEDCBA9876543210ull;
@@ -84,10 +79,8 @@ std::vector<GoldenFrame> golden_frames() {
       -0.0,
       5e-324,  // denormal min
   };
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    frames.push_back({encode_sample_batch(batch, v),
-                      [v](auto p) { (void)decode_sample_batch(p, v); }});
-  }
+  frames.push_back({encode_sample_batch(batch),
+                    [](auto p) { (void)decode_sample_batch(p); }});
 
   DecisionFrame d;
   d.window_index = 41;
@@ -97,12 +90,10 @@ std::vector<GoldenFrame> golden_frames() {
   d.hc = -3;
   d.bottleneck_tier = 2;
   d.staleness = 0;
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    frames.push_back({encode_decision(d, v),
-                      [](auto p) { (void)decode_decision(p); }});
-  }
+  frames.push_back({encode_decision(d),
+                    [](auto p) { (void)decode_decision(p); }});
 
-  frames.push_back({encode_ack({0x123456789ABCull, 29}, 2),
+  frames.push_back({encode_ack({0x123456789ABCull, 29}),
                     [](auto p) { (void)decode_ack(p); }});
 
   StatsReply stats;
@@ -119,17 +110,15 @@ std::vector<GoldenFrame> golden_frames() {
   frames.push_back({encode_reload_reply(rrep),
                     [](auto p) { (void)decode_reload_reply(p); }});
 
-  frames.push_back({encode_stats_request(1), nullptr});
-  frames.push_back({encode_stats_request(2), nullptr});
+  frames.push_back({encode_stats_request(), nullptr});
   frames.push_back({encode_shutdown(), nullptr});
   return frames;
 }
 
-// The bare payload of an encoded frame: header stripped, and the CRC-32
-// trailer too on v2 frames (byte 4 of the header is the version).
+// The bare payload of an encoded frame: header and CRC-32 trailer
+// stripped.
 Bytes bare_payload(const Bytes& frame) {
-  const std::size_t tail = frame[4] >= 2 ? kCrcSize : 0;
-  return Bytes(frame.begin() + kHeaderSize, frame.end() - tail);
+  return Bytes(frame.begin() + kHeaderSize, frame.end() - kCrcSize);
 }
 
 Bytes concat(const std::vector<GoldenFrame>& frames) {

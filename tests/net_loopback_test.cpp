@@ -30,6 +30,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -575,25 +576,29 @@ TEST(NetLoopback, NonDrainingAgentShedsOldestDecisionsNotControlFrames) {
   net::ServerConfig cfg = test_config();
   cfg.max_write_queue = 8;
   cfg.socket_sndbuf = 4096;  // tiny in-flight budget -> queue fills fast
+  // No lingering: sessions are not resumable, which is what gets shed
+  // against — a resumable session is dropped for replay instead (see
+  // ResumableSessionIsDroppedNotShedWhenItStopsDraining).
+  cfg.session_linger = 0;
   Harness h(core::MonitorSource::from_bytes(bundle_a()),
             cfg);
 
-  // A raw v1 socket with a tiny receive buffer that HELLOs, then streams
+  // A raw socket with a tiny receive buffer that HELLOs, then streams
   // window-per-tick samples and never reads: every tick yields a DECISION
-  // the agent does not drain. v1 matters: only non-resumable sessions are
-  // shed against — a resumable v2 session is dropped for replay instead
-  // (see ResumableSessionIsDroppedNotShedWhenItStopsDraining).
+  // the agent does not drain. Each batch's ACK is a control frame that
+  // is never shed, so the stream goes out in 4 batches: their ACKs
+  // leave the queue room for decisions to shed.
   const int fd = raw::connect_to(h.port(), 2048);
   raw::send_all(fd, net::encode_hello_request(
                         {"stalled", "hpc",
-                         static_cast<std::uint16_t>(cfg.num_tiers), 1},
-                        1));
+                         static_cast<std::uint16_t>(cfg.num_tiers), 1}));
   const auto stream = make_stream(cfg.num_tiers, 4000, 0.0, 77);
-  for (int start = 0; start < 4000; start += 500) {
+  for (int start = 0; start < 4000; start += 1000) {
     SampleBatch batch;
+    batch.batch_seq = static_cast<std::uint64_t>(start / 1000) + 1;
     batch.first_tick = static_cast<std::uint32_t>(start);
-    batch.ticks.assign(stream.begin() + start, stream.begin() + start + 500);
-    raw::send_all(fd, net::encode_sample_batch(batch, 1));
+    batch.ticks.assign(stream.begin() + start, stream.begin() + start + 1000);
+    raw::send_all(fd, net::encode_sample_batch(batch));
   }
 
   // A healthy second connection observes the shedding through STATS (a
@@ -633,7 +638,7 @@ TEST(NetLoopback, NonDrainingAgentShedsOldestDecisionsNotControlFrames) {
   ::close(fd);
 }
 
-// The v2 counterpart: a resumable session is promised exactly-once
+// The resumable counterpart: a resumable session is promised exactly-once
 // decision delivery, so the daemon must never silently shed its
 // decisions. When such a peer stops draining, the connection is dropped
 // and the session parked — every undelivered decision stays in the
@@ -771,6 +776,56 @@ TEST(NetLoopback, ControlFloodFromNonReadingPeerIsDropped) {
   EXPECT_TRUE(reply.accepted) << reply.message;
 }
 
+// Protocol v1 is retired: a v1 HELLO (version byte 1, no resume fields,
+// no CRC trailer) is a malformed frame, so the daemon closes the
+// connection and counts it.
+TEST(NetLoopback, V1HelloIsMalformedAndClosesTheConnection) {
+  const net::ServerConfig cfg = test_config();
+  Harness h(core::MonitorSource::from_bytes(bundle_a()), cfg);
+
+  net::Client observer;
+  observer.connect("127.0.0.1", h.port());
+  ASSERT_EQ(observer.stats().value("malformed_frames"), 0u);
+
+  std::vector<std::uint8_t> payload;
+  net::put_string(payload, "legacy");
+  net::put_string(payload, "hpc");
+  net::put_u16(payload, static_cast<std::uint16_t>(cfg.num_tiers));
+  net::put_u16(payload, 4);  // window
+  std::vector<std::uint8_t> v1_hello;
+  net::put_u32(v1_hello, net::kMagic);
+  net::put_u8(v1_hello, 1);  // version
+  net::put_u8(v1_hello, static_cast<std::uint8_t>(net::FrameType::kHello));
+  net::put_u16(v1_hello, 0);  // reserved
+  net::put_u32(v1_hello, static_cast<std::uint32_t>(payload.size()));
+  v1_hello.insert(v1_hello.end(), payload.begin(), payload.end());
+  const int fd = raw::connect_to(h.port(), 0);
+  raw::send_all(fd, v1_hello);
+  EXPECT_TRUE(raw::wait_for_disconnect(fd, 5000))
+      << "daemon kept a connection that spoke protocol v1";
+  ::close(fd);
+
+  const auto stats = observer.stats();
+  EXPECT_EQ(stats.value("malformed_frames"), 1u);
+  EXPECT_EQ(stats.value("hellos"), 0u);
+}
+
+// A session dropped for a full write queue resumes from its replay ring,
+// which must therefore hold at least max_write_queue decisions; a smaller
+// ring would refuse the resume and lose the queued decisions.
+TEST(NetLoopback, ServerRejectsDecisionReplayBelowWriteQueue) {
+  core::MonitorSource source = core::MonitorSource::from_bytes(bundle_a());
+  net::EventLoop loop;
+  net::ServerConfig cfg = test_config();
+  cfg.max_write_queue = 256;
+  cfg.decision_replay = 4;
+  EXPECT_THROW(net::Server(loop, source, cfg), std::invalid_argument);
+  cfg.decision_replay = 255;
+  EXPECT_THROW(net::Server(loop, source, cfg), std::invalid_argument);
+  cfg.decision_replay = 256;
+  EXPECT_NO_THROW(net::Server(loop, source, cfg));
+}
+
 // Regression for a use-after-free: a peer that disconnects mid-batch made
 // the decision send fail with EPIPE/ECONNRESET inside handle_batch's tick
 // loop; the old code destroyed the Connection from inside flush_writes
@@ -781,28 +836,30 @@ TEST(NetLoopback, PeerVanishingMidBatchLeavesServerHealthy) {
   net::ServerConfig cfg = test_config();
   cfg.max_write_queue = 8;
   cfg.socket_sndbuf = 4096;
+  // No lingering: a non-resumable session is shed against but kept
+  // connected, so the server is still mid-write when the abortive close
+  // lands below. (A resumable session would be dropped for replay as
+  // soon as the queue filled, ending the race this test exists to
+  // provoke.)
+  cfg.session_linger = 0;
   Harness h(core::MonitorSource::from_bytes(bundle_a()), cfg);
 
   const auto stream = make_stream(cfg.num_tiers, 2000, 0.0, 913);
   // Vary the delay between shipping the batches and the RST so the reset
   // lands at different points of the server's tick loop.
   for (const int delay_us : {0, 500, 2000, 8000}) {
-    // v1: a non-resumable session is shed against but kept connected, so
-    // the server is still mid-write when the abortive close lands below.
-    // (A v2 session would be dropped for replay as soon as the queue
-    // filled, ending the race this test exists to provoke.)
     const int fd = raw::connect_to(h.port(), 2048);
     raw::send_all(fd, net::encode_hello_request(
                           {"vanisher", "hpc",
-                           static_cast<std::uint16_t>(cfg.num_tiers), 1},
-                          1));
+                           static_cast<std::uint16_t>(cfg.num_tiers), 1}));
     // window=1: every tick closes a window and emits a DECISION, so the
     // write path is exercised continuously while the batches process.
     for (int start = 0; start < 2000; start += 500) {
       SampleBatch batch;
+      batch.batch_seq = static_cast<std::uint64_t>(start / 500) + 1;
       batch.first_tick = static_cast<std::uint32_t>(start);
       batch.ticks.assign(stream.begin() + start, stream.begin() + start + 500);
-      raw::send_all(fd, net::encode_sample_batch(batch, 1));
+      raw::send_all(fd, net::encode_sample_batch(batch));
     }
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
     // Abortive close: unread decision bytes make the kernel send RST, so

@@ -1,7 +1,8 @@
 // Wire-protocol unit tests: encode/decode round trips for every frame
-// type at both protocol versions, golden little-endian byte layouts (so
-// the format is pinned, not just self-consistent), CRC-32 integrity on
-// v2 frames, malformed-input rejection, and incremental stream assembly.
+// type, golden little-endian byte layouts (so the format is pinned, not
+// just self-consistent), CRC-32 integrity on every frame, malformed-input
+// rejection (the retired v1 header included), and incremental stream
+// assembly.
 // The decode paths must throw ProtocolError on any hostile input —
 // truncation, oversized counts, trailing garbage, checksum damage — and
 // never read out of bounds (this suite carries the asan label).
@@ -22,29 +23,16 @@ namespace {
 
 using Bytes = std::vector<std::uint8_t>;
 
-// Strips the 12-byte header — and on v2 the 4-byte CRC trailer — off a
-// full encoded frame, leaving the bare payload.
-Bytes payload_of(const Bytes& frame,
-                 std::uint8_t version = kProtocolVersion) {
-  const std::size_t tail = version >= 2 ? kCrcSize : 0;
-  return Bytes(frame.begin() + kHeaderSize, frame.end() - tail);
-}
-
-TEST(NetProtocol, GoldenHeaderLayoutV1) {
-  const Bytes frame = encode_stats_request(1);
-  ASSERT_EQ(frame.size(), kHeaderSize);
-  // magic 0x48504341 little-endian = "ACPH" on the wire.
-  const Bytes expected = {0x41, 0x43, 0x50, 0x48,  // magic
-                          0x01,                    // version
-                          0x04,                    // type = STATS
-                          0x00, 0x00,              // reserved
-                          0x00, 0x00, 0x00, 0x00}; // payload_size
-  EXPECT_EQ(frame, expected);
+// Strips the 12-byte header and the 4-byte CRC trailer off a full
+// encoded frame, leaving the bare payload.
+Bytes payload_of(const Bytes& frame) {
+  return Bytes(frame.begin() + kHeaderSize, frame.end() - kCrcSize);
 }
 
 TEST(NetProtocol, GoldenHeaderLayoutV2CarriesCrcTrailer) {
-  const Bytes frame = encode_stats_request(2);
+  const Bytes frame = encode_stats_request();
   ASSERT_EQ(frame.size(), kHeaderSize + kCrcSize);
+  // magic 0x48504341 little-endian = "ACPH" on the wire.
   const Bytes head = {0x41, 0x43, 0x50, 0x48,  // magic
                       0x02,                    // version
                       0x04,                    // type = STATS
@@ -95,24 +83,6 @@ TEST(NetProtocol, Crc32MatchesBitwiseReference) {
   EXPECT_EQ(crc32(big), crc32_bitwise(big));
 }
 
-TEST(NetProtocol, GoldenHelloRequestBytesV1) {
-  HelloRequest req;
-  req.agent = "a";
-  req.level = "os";
-  req.num_tiers = 2;
-  req.window = 0x1234;
-  const Bytes frame = encode_hello_request(req, 1);
-  const Bytes expected = {
-      0x41, 0x43, 0x50, 0x48, 0x01, 0x01, 0x00, 0x00,  // header
-      0x0f, 0x00, 0x00, 0x00,                          // payload = 15
-      0x01, 0x00, 0x00, 0x00, 'a',                     // str agent
-      0x02, 0x00, 0x00, 0x00, 'o',  's',               // str level
-      0x02, 0x00,                                      // u16 num_tiers
-      0x34, 0x12,                                      // u16 window (LE)
-  };
-  EXPECT_EQ(frame, expected);
-}
-
 TEST(NetProtocol, GoldenHelloRequestBytesV2) {
   HelloRequest req;
   req.agent = "a";
@@ -121,7 +91,7 @@ TEST(NetProtocol, GoldenHelloRequestBytesV2) {
   req.window = 0x1234;
   req.resume_token = 0x1122334455667788ull;
   req.resume_from_window = 0xA1B2C3D4u;
-  const Bytes frame = encode_hello_request(req, 2);
+  const Bytes frame = encode_hello_request(req);
   const Bytes body = {
       0x41, 0x43, 0x50, 0x48, 0x02, 0x01, 0x00, 0x00,  // header
       0x1b, 0x00, 0x00, 0x00,                          // payload = 27
@@ -146,7 +116,7 @@ TEST(NetProtocol, GoldenF64Encoding) {
   EXPECT_EQ(out, expected);
 }
 
-TEST(NetProtocol, HelloRoundTripBothVersions) {
+TEST(NetProtocol, HelloRoundTrip) {
   HelloRequest req;
   req.agent = "app-tier-agent";
   req.level = "hpc";
@@ -154,22 +124,13 @@ TEST(NetProtocol, HelloRoundTripBothVersions) {
   req.window = 30;
   req.resume_token = 0xFEEDBEEFull;
   req.resume_from_window = 99;
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    const auto back =
-        decode_hello_request(payload_of(encode_hello_request(req, v), v), v);
-    EXPECT_EQ(back.agent, req.agent);
-    EXPECT_EQ(back.level, req.level);
-    EXPECT_EQ(back.num_tiers, req.num_tiers);
-    EXPECT_EQ(back.window, req.window);
-    if (v >= 2) {
-      EXPECT_EQ(back.resume_token, req.resume_token);
-      EXPECT_EQ(back.resume_from_window, req.resume_from_window);
-    } else {
-      // v1 wire format has no resume fields; they decode as zero.
-      EXPECT_EQ(back.resume_token, 0u);
-      EXPECT_EQ(back.resume_from_window, 0u);
-    }
-  }
+  const auto back = decode_hello_request(payload_of(encode_hello_request(req)));
+  EXPECT_EQ(back.agent, req.agent);
+  EXPECT_EQ(back.level, req.level);
+  EXPECT_EQ(back.num_tiers, req.num_tiers);
+  EXPECT_EQ(back.window, req.window);
+  EXPECT_EQ(back.resume_token, req.resume_token);
+  EXPECT_EQ(back.resume_from_window, req.resume_from_window);
 
   HelloReply rep;
   rep.accepted = true;
@@ -181,23 +142,14 @@ TEST(NetProtocol, HelloRoundTripBothVersions) {
   rep.session_token = 0xABCDEF0123456789ull;
   rep.last_applied_seq = 41;
   rep.resumed = true;
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    const auto rback =
-        decode_hello_reply(payload_of(encode_hello_reply(rep, v), v), v);
-    EXPECT_EQ(rback.accepted, rep.accepted);
-    EXPECT_EQ(rback.message, rep.message);
-    EXPECT_EQ(rback.model_version, rep.model_version);
-    EXPECT_EQ(rback.dims, rep.dims);
-    if (v >= 2) {
-      EXPECT_EQ(rback.session_token, rep.session_token);
-      EXPECT_EQ(rback.last_applied_seq, rep.last_applied_seq);
-      EXPECT_TRUE(rback.resumed);
-    } else {
-      EXPECT_EQ(rback.session_token, 0u);
-      EXPECT_EQ(rback.last_applied_seq, 0u);
-      EXPECT_FALSE(rback.resumed);
-    }
-  }
+  const auto rback = decode_hello_reply(payload_of(encode_hello_reply(rep)));
+  EXPECT_EQ(rback.accepted, rep.accepted);
+  EXPECT_EQ(rback.message, rep.message);
+  EXPECT_EQ(rback.model_version, rep.model_version);
+  EXPECT_EQ(rback.dims, rep.dims);
+  EXPECT_EQ(rback.session_token, rep.session_token);
+  EXPECT_EQ(rback.last_applied_seq, rep.last_applied_seq);
+  EXPECT_TRUE(rback.resumed);
 }
 
 TEST(NetProtocol, SampleBatchRoundTripPreservesBitPatterns) {
@@ -216,25 +168,21 @@ TEST(NetProtocol, SampleBatchRoundTripPreservesBitPatterns) {
   batch.ticks[2].tiers[0] = {false, {}};
   batch.ticks[2].tiers[1] = {true, {5.0, 6.0, 7.0, 8.0}};
 
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    const auto back =
-        decode_sample_batch(payload_of(encode_sample_batch(batch, v), v), v);
-    // batch_seq exists on the v2 wire only.
-    ASSERT_EQ(back.batch_seq, v >= 2 ? batch.batch_seq : 0u);
-    ASSERT_EQ(back.first_tick, batch.first_tick);
-    ASSERT_EQ(back.ticks.size(), batch.ticks.size());
-    for (std::size_t i = 0; i < batch.ticks.size(); ++i) {
-      ASSERT_EQ(back.ticks[i].tiers.size(), batch.ticks[i].tiers.size());
-      for (std::size_t t = 0; t < 2; ++t) {
-        const auto& a = batch.ticks[i].tiers[t];
-        const auto& b = back.ticks[i].tiers[t];
-        ASSERT_EQ(b.present, a.present);
-        ASSERT_EQ(b.values.size(), a.values.size());
-        for (std::size_t k = 0; k < a.values.size(); ++k) {
-          // Bit-exact including NaN payloads and signed zero.
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(b.values[k]),
-                    std::bit_cast<std::uint64_t>(a.values[k]));
-        }
+  const auto back = decode_sample_batch(payload_of(encode_sample_batch(batch)));
+  ASSERT_EQ(back.batch_seq, batch.batch_seq);
+  ASSERT_EQ(back.first_tick, batch.first_tick);
+  ASSERT_EQ(back.ticks.size(), batch.ticks.size());
+  for (std::size_t i = 0; i < batch.ticks.size(); ++i) {
+    ASSERT_EQ(back.ticks[i].tiers.size(), batch.ticks[i].tiers.size());
+    for (std::size_t t = 0; t < 2; ++t) {
+      const auto& a = batch.ticks[i].tiers[t];
+      const auto& b = back.ticks[i].tiers[t];
+      ASSERT_EQ(b.present, a.present);
+      ASSERT_EQ(b.values.size(), a.values.size());
+      for (std::size_t k = 0; k < a.values.size(); ++k) {
+        // Bit-exact including NaN payloads and signed zero.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b.values[k]),
+                  std::bit_cast<std::uint64_t>(a.values[k]));
       }
     }
   }
@@ -249,29 +197,25 @@ TEST(NetProtocol, DecisionRoundTrip) {
   d.hc = -13;
   d.bottleneck_tier = -1;
   d.staleness = 1 << 20;
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    const auto back = decode_decision(payload_of(encode_decision(d, v), v));
-    EXPECT_EQ(back.window_index, d.window_index);
-    EXPECT_EQ(back.state, d.state);
-    EXPECT_EQ(back.confident, d.confident);
-    EXPECT_EQ(back.degraded, d.degraded);
-    EXPECT_EQ(back.hc, d.hc);
-    EXPECT_EQ(back.bottleneck_tier, d.bottleneck_tier);
-    EXPECT_EQ(back.staleness, d.staleness);
-  }
+  const auto back = decode_decision(payload_of(encode_decision(d)));
+  EXPECT_EQ(back.window_index, d.window_index);
+  EXPECT_EQ(back.state, d.state);
+  EXPECT_EQ(back.confident, d.confident);
+  EXPECT_EQ(back.degraded, d.degraded);
+  EXPECT_EQ(back.hc, d.hc);
+  EXPECT_EQ(back.bottleneck_tier, d.bottleneck_tier);
+  EXPECT_EQ(back.staleness, d.staleness);
 }
 
 TEST(NetProtocol, AckRoundTripIsV2Only) {
   AckFrame ack;
   ack.last_applied_seq = 0x123456789ull;
   ack.next_window = 0xCAFE;
-  const auto back = decode_ack(payload_of(encode_ack(ack, 2), 2));
+  const auto back = decode_ack(payload_of(encode_ack(ack)));
   EXPECT_EQ(back.last_applied_seq, ack.last_applied_seq);
   EXPECT_EQ(back.next_window, ack.next_window);
-  // ACK frames do not exist on the v1 wire: encoding one at v1 throws,
-  // and a v1 header naming the ACK type is rejected outright.
-  EXPECT_THROW(encode_ack(ack, 1), ProtocolError);
-  Bytes bad = encode_ack(ack, 2);
+  // A v1 header naming the ACK type is rejected outright.
+  Bytes bad = encode_ack(ack);
   bad[4] = 1;  // claim v1 on an ACK frame
   EXPECT_THROW(peek_header(bad), ProtocolError);
 }
@@ -347,10 +291,12 @@ TEST(NetProtocol, AggregateFramesRoundTripAndRejectV1) {
   // An abstaining cell always decodes with vote 0, whatever was encoded.
   EXPECT_EQ(batch_back.windows[1].votes[1], 0);
 
-  // v2-only: no v1 encoding exists.
-  EXPECT_THROW(encode_aggregate_subscribe(sub, 1), ProtocolError);
-  EXPECT_THROW(encode_aggregate_subscribe_reply(rep, 1), ProtocolError);
-  EXPECT_THROW(encode_aggregate_batch(batch, 1), ProtocolError);
+  // A v1 header on an AGGREGATE frame is malformed on the receive path.
+  Bytes v1 = sub_bytes;
+  v1[4] = 1;
+  FrameAssembler in;
+  in.append(v1.data(), v1.size());
+  EXPECT_THROW(in.next(), ProtocolError);
 }
 
 TEST(NetProtocol, AggregateDecodersRejectMalformedPayloads) {
@@ -388,7 +334,7 @@ TEST(NetProtocol, AggregateDecodersRejectMalformedPayloads) {
 // --- malformed input ------------------------------------------------------
 
 TEST(NetProtocol, HeaderRejectsBadMagicVersionTypeReserved) {
-  Bytes good = encode_stats_request(1);
+  Bytes good = encode_stats_request();
   {
     Bytes bad = good;
     bad[0] ^= 0xFF;
@@ -398,23 +344,20 @@ TEST(NetProtocol, HeaderRejectsBadMagicVersionTypeReserved) {
     Bytes bad = good;
     bad[4] = 3;  // future protocol version
     EXPECT_THROW(peek_header(bad), ProtocolError);
-    bad[4] = 0;  // below the minimum
+    bad[4] = 0;  // below the only version
+    EXPECT_THROW(peek_header(bad), ProtocolError);
+    bad[4] = 1;  // the retired v1
     EXPECT_THROW(peek_header(bad), ProtocolError);
   }
   {
     Bytes bad = good;
     bad[5] = 0;  // frame type below range
     EXPECT_THROW(peek_header(bad), ProtocolError);
-    bad[5] = 7;  // ACK: above the v1 range
-    EXPECT_THROW(peek_header(bad), ProtocolError);
-    bad[4] = 2;  // ...but valid at v2
+    bad[5] = 7;  // ACK
     EXPECT_TRUE(peek_header(bad).has_value());
-    bad[5] = 8;  // AGGREGATE: likewise v2-only
+    bad[5] = 8;  // AGGREGATE: the last type
     EXPECT_TRUE(peek_header(bad).has_value());
-    bad[4] = 1;
-    EXPECT_THROW(peek_header(bad), ProtocolError);
-    bad[4] = 2;
-    bad[5] = 9;  // above the v2 range
+    bad[5] = 9;  // above the range
     EXPECT_THROW(peek_header(bad), ProtocolError);
   }
   {
@@ -445,52 +388,31 @@ TEST(NetProtocol, EveryTruncationOfEveryFrameThrows) {
   stats.entries = {{"k", 1}};
   AckFrame ack{77, 3};
 
-  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{2}}) {
-    std::vector<Bytes> payloads = {
-        payload_of(encode_hello_request({"a", "hpc", 2, 30}, v), v),
-        payload_of(encode_hello_reply(rep, v), v),
-        payload_of(encode_sample_batch(batch, v), v),
-        payload_of(encode_decision({}, v), v),
-        payload_of(encode_stats_reply(stats, v), v),
-        payload_of(encode_reload_request({"p"}, v), v),
-        payload_of(encode_reload_reply({true, 1, "ok"}, v), v),
-    };
-    using Decoder = void (*)(std::span<const std::uint8_t>, std::uint8_t);
-    std::vector<Decoder> decoders = {
-        [](std::span<const std::uint8_t> p, std::uint8_t ver) {
-          decode_hello_request(p, ver);
-        },
-        [](std::span<const std::uint8_t> p, std::uint8_t ver) {
-          decode_hello_reply(p, ver);
-        },
-        [](std::span<const std::uint8_t> p, std::uint8_t ver) {
-          decode_sample_batch(p, ver);
-        },
-        [](std::span<const std::uint8_t> p, std::uint8_t) {
-          decode_decision(p);
-        },
-        [](std::span<const std::uint8_t> p, std::uint8_t) {
-          decode_stats_reply(p);
-        },
-        [](std::span<const std::uint8_t> p, std::uint8_t) {
-          decode_reload_request(p);
-        },
-        [](std::span<const std::uint8_t> p, std::uint8_t) {
-          decode_reload_reply(p);
-        },
-    };
-    if (v >= 2) {
-      payloads.push_back(payload_of(encode_ack(ack, v), v));
-      decoders.push_back([](std::span<const std::uint8_t> p, std::uint8_t) {
-        decode_ack(p);
-      });
-    }
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      for (std::size_t cut = 0; cut < payloads[i].size(); ++cut) {
-        EXPECT_THROW(decoders[i]({payloads[i].data(), cut}, v), ProtocolError)
-            << "v" << int{v} << " frame " << i << " truncated at " << cut
-            << " did not throw";
-      }
+  const std::vector<Bytes> payloads = {
+      payload_of(encode_hello_request({"a", "hpc", 2, 30})),
+      payload_of(encode_hello_reply(rep)),
+      payload_of(encode_sample_batch(batch)),
+      payload_of(encode_decision({})),
+      payload_of(encode_stats_reply(stats)),
+      payload_of(encode_reload_request({"p"})),
+      payload_of(encode_reload_reply({true, 1, "ok"})),
+      payload_of(encode_ack(ack)),
+  };
+  using Decoder = void (*)(std::span<const std::uint8_t>);
+  const std::vector<Decoder> decoders = {
+      [](std::span<const std::uint8_t> p) { decode_hello_request(p); },
+      [](std::span<const std::uint8_t> p) { decode_hello_reply(p); },
+      [](std::span<const std::uint8_t> p) { decode_sample_batch(p); },
+      [](std::span<const std::uint8_t> p) { decode_decision(p); },
+      [](std::span<const std::uint8_t> p) { decode_stats_reply(p); },
+      [](std::span<const std::uint8_t> p) { decode_reload_request(p); },
+      [](std::span<const std::uint8_t> p) { decode_reload_reply(p); },
+      [](std::span<const std::uint8_t> p) { decode_ack(p); },
+  };
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    for (std::size_t cut = 0; cut < payloads[i].size(); ++cut) {
+      EXPECT_THROW(decoders[i]({payloads[i].data(), cut}), ProtocolError)
+          << "frame " << i << " truncated at " << cut << " did not throw";
     }
   }
 }
@@ -510,22 +432,24 @@ TEST(NetProtocol, HostileCountsThrowBeforeAllocation) {
     EXPECT_THROW(decode_reload_request(p), ProtocolError);
   }
   {
-    // Tier count above kMaxTiers inside a batch (v1: no seq prefix).
+    // Tier count above kMaxTiers inside a batch.
     Bytes p;
+    put_u64(p, 1);                                         // batch_seq
     put_u32(p, 0);                                         // first_tick
     put_u16(p, 1);                                         // tick_count
     put_u16(p, static_cast<std::uint16_t>(kMaxTiers + 1)); // tier_count
-    EXPECT_THROW(decode_sample_batch(p, 1), ProtocolError);
+    EXPECT_THROW(decode_sample_batch(p), ProtocolError);
   }
   {
     // Row dim above kMaxRowDim.
     Bytes p;
+    put_u64(p, 1);
     put_u32(p, 0);
     put_u16(p, 1);
     put_u16(p, 1);
     put_u8(p, 1);                                            // present
     put_u16(p, static_cast<std::uint16_t>(kMaxRowDim + 1));  // dim
-    EXPECT_THROW(decode_sample_batch(p, 1), ProtocolError);
+    EXPECT_THROW(decode_sample_batch(p), ProtocolError);
   }
   {
     // Stats entry count above cap.
@@ -550,10 +474,8 @@ TEST(NetProtocol, DecisionRejectsNonzeroReservedByte) {
 // --- FrameAssembler -------------------------------------------------------
 
 TEST(NetProtocol, AssemblerYieldsFramesFedByteAtATime) {
-  // A mixed-version stream: v1 and v2 frames interleave freely on one
-  // connection during version negotiation.
-  const Bytes f1 = encode_hello_request({"a", "hpc", 2, 30});  // v2
-  const Bytes f2 = encode_stats_request(1);                    // v1
+  const Bytes f1 = encode_hello_request({"a", "hpc", 2, 30});
+  const Bytes f2 = encode_stats_request();
   Bytes stream = f1;
   stream.insert(stream.end(), f2.begin(), f2.end());
 
@@ -567,11 +489,11 @@ TEST(NetProtocol, AssemblerYieldsFramesFedByteAtATime) {
   EXPECT_EQ(got[0].type, FrameType::kHello);
   EXPECT_EQ(got[0].version, kProtocolVersion);
   EXPECT_EQ(got[1].type, FrameType::kStats);
-  EXPECT_EQ(got[1].version, 1);
+  EXPECT_EQ(got[1].version, kProtocolVersion);
   EXPECT_EQ(got[0].payload.size(), f1.size() - kHeaderSize - kCrcSize);
   EXPECT_EQ(got[1].payload.size(), 0u);
   EXPECT_EQ(asm_.buffered(), 0u);
-  const auto req = decode_hello_request(got[0].payload, got[0].version);
+  const auto req = decode_hello_request(got[0].payload);
   EXPECT_EQ(req.agent, "a");
 }
 
@@ -606,9 +528,9 @@ TEST(NetProtocol, EverySingleByteFlipOnV2FrameIsDetected) {
         slot.values.push_back(static_cast<double>(t * 100 + k * 10) + d);
     }
   }
-  const Bytes batch_frame = encode_sample_batch(batch, 2);
+  const Bytes batch_frame = encode_sample_batch(batch);
   ASSERT_EQ(batch_frame.size(), 339u);
-  for (const Bytes& good : {encode_ack(ack, 2), batch_frame}) {
+  for (const Bytes& good : {encode_ack(ack), batch_frame}) {
     for (std::size_t i = 0; i < good.size(); ++i) {
       for (const std::uint8_t flip :
            {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {

@@ -1,8 +1,7 @@
-// Exactly-once session resume, wire version interop, and the backoff
-// schedule — the protocol-level half of ISSUE 7 (net_chaos_test covers
-// the end-to-end half).
+// Exactly-once session resume and the backoff schedule — the
+// protocol-level half (net_chaos_test covers the end-to-end half).
 //
-// The raw-socket tests drive the server with handcrafted v1/v2 frames so
+// The raw-socket tests drive the server with handcrafted frames so
 // every resume transition is pinned at the byte level: fresh HELLO mints
 // a token, an abrupt close parks the session, a resume HELLO replays the
 // retained DECISION tail bit-for-bit, a replayed batch is deduped (ACK
@@ -332,7 +331,7 @@ TEST(NetResume, ResumeReplaysRetainedDecisionsAndDedupsReplayedBatches) {
   first.send(net::encode_hello_request(raw_hello()));
   auto reply_frame = first.next_frame();
   ASSERT_TRUE(reply_frame.has_value());
-  const auto reply = net::decode_hello_reply(reply_frame->payload, 2);
+  const auto reply = net::decode_hello_reply(reply_frame->payload);
   ASSERT_TRUE(reply.accepted) << reply.message;
   ASSERT_NE(reply.session_token, 0u);
   EXPECT_FALSE(reply.resumed);
@@ -362,7 +361,7 @@ TEST(NetResume, ResumeReplaysRetainedDecisionsAndDedupsReplayedBatches) {
   second.send(net::encode_hello_request(raw_hello(token, 6)));
   auto resumed_frame = second.next_frame();
   ASSERT_TRUE(resumed_frame.has_value());
-  const auto resumed = net::decode_hello_reply(resumed_frame->payload, 2);
+  const auto resumed = net::decode_hello_reply(resumed_frame->payload);
   ASSERT_TRUE(resumed.accepted) << resumed.message;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.session_token, token);
@@ -427,7 +426,7 @@ TEST(NetResume, LingerSweepExpiresUnresumedSessionsAndRejectsStaleTokens) {
   conn.send(net::encode_hello_request(raw_hello()));
   auto reply_frame = conn.next_frame();
   ASSERT_TRUE(reply_frame.has_value());
-  const auto reply = net::decode_hello_reply(reply_frame->payload, 2);
+  const auto reply = net::decode_hello_reply(reply_frame->payload);
   ASSERT_TRUE(reply.accepted);
   const std::uint64_t token = reply.session_token;
   conn.close();  // park it; nobody comes back in time
@@ -450,7 +449,7 @@ TEST(NetResume, LingerSweepExpiresUnresumedSessionsAndRejectsStaleTokens) {
   late.send(net::encode_hello_request(raw_hello(token, 0)));
   auto late_frame = late.next_frame();
   ASSERT_TRUE(late_frame.has_value());
-  const auto late_reply = net::decode_hello_reply(late_frame->payload, 2);
+  const auto late_reply = net::decode_hello_reply(late_frame->payload);
   EXPECT_FALSE(late_reply.accepted);
   EXPECT_NE(late_reply.message.find("resume token"), std::string::npos)
       << late_reply.message;
@@ -470,44 +469,6 @@ TEST(NetResume, SessionTokensAreUniqueAndNonZero) {
     tokens.insert(token);
   }
   EXPECT_EQ(tokens.size(), 8u);
-}
-
-// --- wire version interop -------------------------------------------------
-
-TEST(NetResume, V1ClientStillStreamsAgainstAV2Daemon) {
-  Harness h(core::MonitorSource::from_bytes(bundle()), test_config());
-
-  net::Client client;
-  client.set_protocol_version(1);
-  client.connect("127.0.0.1", h.port());
-  const auto reply = client.hello({"legacy", "hpc", 2, 4});
-  ASSERT_TRUE(reply.accepted) << reply.message;
-  EXPECT_EQ(reply.session_token, 0u);  // v1 sessions are not resumable
-
-  const auto ticks = make_ticks(200, 47);
-  SampleBatch batch;
-  batch.first_tick = 0;
-  batch.ticks = ticks;
-  client.send_batch(batch);
-  for (std::uint32_t w = 0; w < 200 / 4; ++w)
-    EXPECT_EQ(client.next_decision().window_index, w);
-  EXPECT_EQ(client.session().token, 0u);
-
-  // A v1 disconnect is final: nothing lingers, nothing to resume.
-  net::Client observer;
-  observer.connect("127.0.0.1", h.port());
-  ASSERT_TRUE(observer.hello({"observer", "hpc", 2, 1}).accepted);
-  EXPECT_EQ(observer.stats().value("sessions_lingering"), 0u);
-}
-
-TEST(NetResume, RetryPolicyRequiresProtocolV2) {
-  net::Client v1;
-  v1.set_protocol_version(1);
-  EXPECT_THROW(v1.set_retry_policy(net::RetryPolicy{}), std::invalid_argument);
-
-  net::Client v2;
-  v2.set_retry_policy(net::RetryPolicy{});
-  EXPECT_THROW(v2.set_protocol_version(1), std::invalid_argument);
 }
 
 // --- replay-buffer bound vs a daemon that never ACKs ----------------------
@@ -583,7 +544,7 @@ struct NoAckServer {
           rep.dims.assign(2, static_cast<std::uint16_t>(catalog_dim()));
           rep.session_token = 0xBADF00D;
           rep.last_applied_seq = 0;
-          const auto bytes = net::encode_hello_reply(rep, 2);
+          const auto bytes = net::encode_hello_reply(rep);
           std::size_t off = 0;
           while (off < bytes.size()) {
             const ssize_t w = ::send(fd, bytes.data() + off,

@@ -231,11 +231,9 @@ TEST(NetSharded, TwoReactorHandoffMatchesStandalonePerSession) {
   const std::vector<DecisionFrame> want = reference_run(bundle, ticks);
 
   ServerConfig cfg;
-  cfg.reactors = 2;
-  cfg.shard_mode = ShardMode::kHandoff;  // deterministic round-robin
+  cfg.reactors = 2;  // hand-off placement: deterministic round-robin
   ShardedDaemon daemon(bundle, cfg);
   EXPECT_EQ(daemon.server.reactors(), 2u);
-  EXPECT_EQ(daemon.server.mode(), ShardMode::kHandoff);
 
   // Round-robin assignment: connection 0 stays on the leader, connection
   // 1 is handed off to shard 1. Both sessions see the same ticks and
@@ -260,14 +258,17 @@ TEST(NetSharded, TwoReactorHandoffMatchesStandalonePerSession) {
   EXPECT_EQ(probe.stats().value("reactors"), 2u);
 }
 
-TEST(NetSharded, TwoReactorAutoServesConcurrentAgents) {
+// Default placement under concurrency: 4 agents connect at once, so the
+// hand-off round-robin deals them across both reactors in whatever
+// order their connects land, and every session still emits the
+// reference stream.
+TEST(NetSharded, TwoReactorDefaultPlacementServesConcurrentAgents) {
   const std::string bundle = wire_bundle();
   const std::vector<Tick> ticks = make_ticks(401);
   const std::vector<DecisionFrame> want = reference_run(bundle, ticks);
 
   ServerConfig cfg;
   cfg.reactors = 2;
-  cfg.shard_mode = ShardMode::kAuto;  // reuseport where the platform has it
   ShardedDaemon daemon(bundle, cfg);
 
   constexpr std::size_t kAgents = 4;
@@ -301,6 +302,8 @@ TEST(NetSharded, TwoReactorAutoServesConcurrentAgents) {
   }
   EXPECT_GE(daemon.server.shard(0).stats().connections_accepted,
             kAgents);
+  // Round-robin: the leader keeps every other connection.
+  EXPECT_EQ(daemon.server.shard(0).stats().handoffs, kAgents / 2);
 }
 
 TEST(NetSharded, CrossShardResumeEvictsTheLiveOwner) {
@@ -310,7 +313,6 @@ TEST(NetSharded, CrossShardResumeEvictsTheLiveOwner) {
 
   ServerConfig cfg;
   cfg.reactors = 2;
-  cfg.shard_mode = ShardMode::kHandoff;
   ShardedDaemon daemon(bundle, cfg);
 
   // Session starts on shard 0 (round-robin slot 0) and streams half.

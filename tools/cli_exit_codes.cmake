@@ -7,9 +7,11 @@
 #
 # Inputs: -DHPCAPCTL=<path> -DHPCAPD=<path>
 
+# The timeout turns a daemon that wrongly starts serving into a failure
+# instead of a hang.
 function(run_expect want what)
   execute_process(COMMAND ${ARGN}
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET TIMEOUT 60)
   if(NOT rc EQUAL ${want})
     message(FATAL_ERROR "${what}: expected exit ${want}, got '${rc}'")
   endif()
@@ -50,6 +52,21 @@ execute_process(COMMAND ${HPCAPCTL} train --out ${model} --level hpc
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "hpcapctl train failed: ${rc}")
 endif()
+
+# Configurations the daemon refuses are usage errors, reported before it
+# serves (with a valid model, so only the flag under test is wrong).
+# Hand-off is the only shard placement; the retired names are refused.
+run_expect(2 "hpcapd --shard-mode auto"
+           ${HPCAPD} --model ${model} --port 0 --reactors 2 --shard-mode auto)
+run_expect(2 "hpcapd --shard-mode reuseport"
+           ${HPCAPD} --model ${model} --port 0 --reactors 2
+           --shard-mode reuseport)
+# A replay ring smaller than the write queue is refused at startup (the
+# daemon could not replay every decision of a session it drops).
+run_expect(2 "hpcapd --decision-replay below --max-write-queue"
+           ${HPCAPD} --model ${model} --port 0 --decision-replay 4)
+run_expect(2 "serve --decision-replay below --max-write-queue"
+           ${HPCAPCTL} serve --model ${model} --port 0 --decision-replay 4)
 
 execute_process(
   COMMAND bash -c "'${HPCAPD}' --model '${model}' --port 0 > '${log}' 2>&1 & echo $!"

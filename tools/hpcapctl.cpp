@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/model_io.h"
@@ -371,6 +372,10 @@ int cmd_serve(const Args& args) {
   if (args.has("verbose")) set_log_level(LogLevel::kInfo);
   try {
     return net::run_daemon(cfg, *model, /*install_signals=*/true);
+  } catch (const std::invalid_argument& e) {
+    // The daemon refused the configuration: a usage error.
+    std::fprintf(stderr, "serve: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "serve: %s\n", e.what());
     return 1;

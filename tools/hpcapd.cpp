@@ -11,7 +11,7 @@
 //          [--idle-timeout S] [--handshake-timeout S]
 //          [--max-write-queue N] [--session-linger S]
 //          [--decision-replay N] [--control auto|allow|deny]
-//          [--reactors N] [--shard-mode auto|reuseport|handoff]
+//          [--reactors N] [--shard-mode handoff]
 //          [--parent HOST:PORT] [--leaf-name NAME]
 //          [--coverage I,J,...] [--fanin N]
 //          [--log-level debug|info|warn|error] [--version]
@@ -21,9 +21,14 @@
 // allow opts a non-loopback bind in, --control deny refuses them even
 // on loopback (SIGHUP/SIGTERM still work).
 //
-// Fleet topology (ISSUE 8): --reactors N runs N sharded event loops
-// behind one port (SO_REUSEPORT kernel steering where available,
-// accept-and-hand-off otherwise). --parent HOST:PORT makes this daemon a
+// --decision-replay must be at least --max-write-queue: a session dropped
+// for a full write queue replays every queued decision from that ring.
+// A configuration the daemon rejects is a usage error (exit 2).
+//
+// Fleet topology: --reactors N runs N sharded event loops behind one
+// port; reactor 0 accepts and hands connections to the reactors
+// round-robin. --shard-mode handoff names that placement, the only one
+// there is. --parent HOST:PORT makes this daemon a
 // leaf of an aggregation tree: every decided window's synopsis votes
 // stream to the parent hpcapd, which merges the fleet's disjoint slices
 // and streams fleet decisions back. --coverage lists the parent-side
@@ -32,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "net/protocol.h"
@@ -47,8 +53,7 @@ void usage(std::FILE* to) {
                "              [--handshake-timeout S] [--max-write-queue N]\n"
                "              [--session-linger S] [--decision-replay N]\n"
                "              [--control auto|allow|deny]\n"
-               "              [--reactors N] "
-               "[--shard-mode auto|reuseport|handoff]\n"
+               "              [--reactors N] [--shard-mode handoff]\n"
                "              [--parent HOST:PORT] [--leaf-name NAME]\n"
                "              [--coverage I,J,...] [--fanin N]\n"
                "              [--ctrl-advisory] [--ctrl-min-cap X]\n"
@@ -144,15 +149,12 @@ int main(int argc, char** argv) {
       cfg.reactors = static_cast<std::size_t>(n);
     } else if (arg == "--shard-mode") {
       const std::string mode = value();
-      if (mode == "auto")
-        cfg.shard_mode = hpcap::net::ShardMode::kAuto;
-      else if (mode == "reuseport")
-        cfg.shard_mode = hpcap::net::ShardMode::kReuseport;
-      else if (mode == "handoff")
-        cfg.shard_mode = hpcap::net::ShardMode::kHandoff;
-      else {
-        std::fprintf(stderr, "hpcapd: unknown shard mode '%s'\n",
+      if (mode != "handoff") {
+        std::fprintf(stderr,
+                     "hpcapd: unknown shard mode '%s' (handoff is the only "
+                     "one)\n",
                      mode.c_str());
+        usage(stderr);
         return 2;
       }
     } else if (arg == "--parent") {
@@ -233,6 +235,10 @@ int main(int argc, char** argv) {
 
   try {
     return hpcap::net::run_daemon(cfg, model, /*install_signals=*/true);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "hpcapd: %s\n", e.what());
+    usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
