@@ -90,10 +90,8 @@ FleetAggregator::Pending& FleetAggregator::slot(std::uint32_t window_index) {
   return it->second;
 }
 
-DecisionFrame FleetAggregator::decide(std::uint32_t window_index,
-                                      Pending& p) {
-  const auto d = monitor_.decide_votes_masked(p.votes, p.valid);
-  started_ = true;
+DecisionFrame to_decision_frame(std::uint32_t window_index,
+                                const core::CoordinatedPredictor::Decision& d) {
   DecisionFrame frame;
   frame.window_index = window_index;
   frame.state = static_cast<std::uint8_t>(d.state);
@@ -103,6 +101,13 @@ DecisionFrame FleetAggregator::decide(std::uint32_t window_index,
   frame.bottleneck_tier = d.bottleneck_tier;
   frame.staleness = d.staleness;
   return frame;
+}
+
+DecisionFrame FleetAggregator::decide(std::uint32_t window_index,
+                                      Pending& p) {
+  const auto d = monitor_.decide_votes_masked(p.votes, p.valid);
+  started_ = true;
+  return to_decision_frame(window_index, d);
 }
 
 void FleetAggregator::drain_ready(std::vector<DecisionFrame>& out) {

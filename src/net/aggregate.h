@@ -46,6 +46,10 @@
 
 namespace hpcap::net {
 
+// The DECISION frame for window `window_index`, decided as `d`.
+DecisionFrame to_decision_frame(std::uint32_t window_index,
+                                const core::CoordinatedPredictor::Decision& d);
+
 class FleetAggregator {
  public:
   struct Options {

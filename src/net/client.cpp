@@ -252,7 +252,7 @@ Frame Client::await_frame(FrameType want, double timeout_seconds) {
         throw ProtocolError("net::Client: unexpected frame type");
       // Control replies are rare; copy the payload out so the caller
       // owns it independent of the assembler's buffer.
-      return Frame{frame->version, frame->type,
+      return Frame{frame->type,
                    std::vector<std::uint8_t>(frame->payload.begin(),
                                              frame->payload.end())};
     }

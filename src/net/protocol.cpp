@@ -209,9 +209,9 @@ std::optional<FrameHeader> peek_header(
   const std::uint32_t magic = r.read_u32();
   if (magic != kMagic) malformed("bad magic");
   FrameHeader h;
-  h.version = r.read_u8();
-  if (h.version != kProtocolVersion)
-    malformed("unsupported protocol version " + std::to_string(h.version));
+  const std::uint8_t version = r.read_u8();
+  if (version != kProtocolVersion)
+    malformed("unsupported protocol version " + std::to_string(version));
   const std::uint8_t type = r.read_u8();
   if (type < 1 || type > static_cast<std::uint8_t>(FrameType::kAggregate))
     malformed("unknown frame type " + std::to_string(type));
@@ -819,7 +819,6 @@ std::optional<FrameRef> FrameAssembler::next_ref() {
   if (crc32(pending.first(body)) != load_le32(pending.data() + body))
     malformed("frame checksum mismatch");
   FrameRef frame;
-  frame.version = header->version;
   frame.type = header->type;
   frame.payload = pending.subspan(kHeaderSize, header->payload_size);
   start_ += total;
@@ -830,7 +829,6 @@ std::optional<Frame> FrameAssembler::next() {
   const auto ref = next_ref();
   if (!ref) return std::nullopt;
   Frame frame;
-  frame.version = ref->version;
   frame.type = ref->type;
   frame.payload.assign(ref->payload.begin(), ref->payload.end());
   return frame;

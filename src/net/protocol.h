@@ -137,7 +137,6 @@ class ProtocolError : public std::runtime_error {
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
 
 struct FrameHeader {
-  std::uint8_t version = kProtocolVersion;
   FrameType type = FrameType::kHello;
   std::uint32_t payload_size = 0;
 };
@@ -149,7 +148,6 @@ std::optional<FrameHeader> peek_header(
     std::span<const std::uint8_t> buffer);
 
 struct Frame {
-  std::uint8_t version = kProtocolVersion;
   FrameType type = FrameType::kHello;
   std::vector<std::uint8_t> payload;
 };
@@ -159,7 +157,6 @@ struct Frame {
 // assembler (decode it, or copy it out, before reading more bytes from
 // the socket).
 struct FrameRef {
-  std::uint8_t version = kProtocolVersion;
   FrameType type = FrameType::kHello;
   std::span<const std::uint8_t> payload;
 };

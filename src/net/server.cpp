@@ -22,11 +22,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "core/validate.h"
+#include "core/stream.h"
 #include "ctrl/admission.h"
 #include "counters/metric_catalog.h"
-#include "counters/sampler.h"
 #include "net/aggregate.h"
 #include "net/posix_io.h"
 #include "net/sharded.h"
@@ -48,13 +46,6 @@ std::size_t level_dim(const std::string& level) {
   return 0;
 }
 
-// Windows accumulated in the block scratch before one predict_masked_many
-// call. A block that fills in the middle of a SAMPLE_BATCH is also a
-// flush point, which bounds decision latency within a giant frame; a
-// max_write_queue smaller than a block is handled by enqueue's
-// flush-before-shed.
-constexpr std::size_t kObserveBlock = 32;
-
 // Frames covered by one scatter-gather ::sendmsg.
 constexpr std::size_t kMaxIov = 64;
 
@@ -69,7 +60,7 @@ constexpr double kResumeDeferCap = 2.0;
 
 }  // namespace
 
-// The stream state of one agent session: the per-tier pipeline plus the
+// The stream state of one agent session: its sampling pipeline plus the
 // exactly-once bookkeeping. Owned by a Connection while its socket is
 // up; detaches into the ShardGroup's linger directory when its peer
 // vanishes so a reconnecting client can resume it — on any reactor.
@@ -78,28 +69,15 @@ struct SessionState {
   std::string agent;
   std::string level;
   std::uint16_t window = 0;
-  std::size_t dim = 0;
   std::uint32_t model_version = 0;
-  std::optional<core::CapacityMonitor> monitor;
-  std::optional<core::RowValidator> validator;
-  std::vector<counters::InstanceAggregator> aggregators;
+  // Slots -> windows -> validation -> batched decide (core/stream.h).
+  std::optional<core::StreamPipeline> pipeline;
   // Zero-copy SAMPLE_BATCH decode backing store; reaches its high-water
   // size after a few frames and then decodes allocation-free.
   BatchArena arena;
-  // Window-block scratch: up to kObserveBlock closed windows accumulate
-  // here (row-major, window w tier t at block[(w*T + t)*dim]) with a
-  // per-tier validity mask, then one predict_masked_many call decides
-  // them all. Sized once at HELLO.
-  std::vector<double> block;
-  std::vector<std::uint8_t> block_valid;
-  std::vector<core::CoordinatedPredictor::Decision> block_out;
-  std::size_t block_windows = 0;
-  std::uint32_t window_index = 0;
-  // Leaf mode: window-major GPV export scratch for the uplink (synopsis
-  // s of window w at [w * m + s]); sized at HELLO when an uplink is set.
-  std::vector<int> votes_out;
-  std::vector<std::uint8_t> votes_valid;
-  // The coverage-order slice of one window's GPV, as offer() wants it.
+  std::uint32_t window_index = 0;  // index of the next decided window
+  // Leaf mode: the coverage-order slice of one window's GPV, as the
+  // uplink's offer() wants it; sized at HELLO when an uplink is set.
   std::vector<int> uplink_votes;
   std::vector<std::uint8_t> uplink_valid;
 
@@ -118,6 +96,17 @@ struct SessionState {
   std::deque<DecisionFrame> replay;
   std::uint32_t replay_first_window = 0;
   double detached_at = 0.0;  // linger clock; set when parked
+
+  // Retains a decided window for resume replay, keeping the newest
+  // `capacity` of them.
+  void record(const DecisionFrame& d, std::size_t capacity) {
+    replay.push_back(d);
+    if (replay.size() > capacity) {
+      replay.pop_front();
+      ++replay_first_window;
+    }
+    window_index = d.window_index + 1;
+  }
 };
 
 // One agent connection: the socket half of a session. Before HELLO it is
@@ -161,13 +150,33 @@ struct Server::Connection {
   std::uint32_t replay_next = 0;
 };
 
+// What a resuming client asks for: the session its token names, the
+// window to replay from, and the parameters the session must match.
+struct Server::ResumeAsk {
+  std::uint64_t token = 0;
+  std::uint32_t from = 0;
+  bool aggregate = false;
+  std::string level{};  // plain sessions
+  std::uint16_t window = 0;
+  int num_tiers = 0;
+  std::vector<std::uint16_t> coverage{};  // aggregate sessions
+};
+
 // A resume that landed on this reactor while its session was live on
 // another: the eviction is in flight, the handshake reply waits.
 struct Server::PendingResume {
   int fd = -1;
-  HelloRequest hello;                       // plain-session ask
-  std::optional<AggregateSubscribe> agg;    // aggregate-session ask
+  ResumeAsk ask;
   double deadline = 0.0;
+};
+
+// One claim attempt on the linger directory: the session when claimed;
+// otherwise the reactor holding it live (an eviction can free it) or why
+// the resume is refused.
+struct Server::Claim {
+  std::unique_ptr<SessionState> session;
+  std::optional<std::size_t> live_on;
+  const char* why = nullptr;
 };
 
 // --- ShardGroup ----------------------------------------------------------
@@ -436,29 +445,15 @@ void Server::drain_mailbox() {
       case ShardEnvelope::Kind::kAcceptedFd:
         adopt_fd(env.fd);  // closes it itself when draining
         break;
-      case ShardEnvelope::Kind::kEvictToken: {
+      case ShardEnvelope::Kind::kEvictToken:
         // A resume landed on another reactor while this one still holds
         // the live connection; park the session so the claimant can pick
         // it up from the directory.
-        int victim = -1;
-        for (auto& [fd, conn] : conns_) {
-          if (conn->session && conn->session->token == env.token) {
-            victim = fd;
-            break;
-          }
-        }
-        if (victim >= 0)
-          close_connection(victim, "superseded by session resume");
+        if (Connection* victim = find_session(env.token))
+          close_connection(victim->fd, "superseded by session resume");
         break;
-      }
       case ShardEnvelope::Kind::kFleetDecisions: {
-        Connection* c = nullptr;
-        for (auto& [fd, conn] : conns_) {
-          if (conn->session && conn->session->token == env.token) {
-            c = conn.get();
-            break;
-          }
-        }
+        Connection* c = find_session(env.token);
         if (c != nullptr && !c->doomed) {
           deliver_fleet_local(*c, env.decisions);
         } else {
@@ -466,17 +461,9 @@ void Server::drain_mailbox() {
           // the lingering ring so a resume still replays these windows.
           util::MutexLock lock(&group_->mu);
           const auto it = group_->dir->lingering.find(env.token);
-          if (it != group_->dir->lingering.end()) {
-            SessionState& s = *it->second;
-            for (const DecisionFrame& d : env.decisions) {
-              s.replay.push_back(d);
-              if (s.replay.size() > cfg_.decision_replay) {
-                s.replay.pop_front();
-                ++s.replay_first_window;
-              }
-              s.window_index = d.window_index + 1;
-            }
-          }
+          if (it != group_->dir->lingering.end())
+            for (const DecisionFrame& d : env.decisions)
+              it->second->record(d, cfg_.decision_replay);
         }
         break;
       }
@@ -604,136 +591,79 @@ void Server::attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
   c.replaying = resume_from < session.window_index;
   c.replay_next = resume_from;
   ++stats_.sessions_resumed;
-  auto buf = take_spare(c);
-  if (session.aggregate) {
-    AggregateSubscribeReply rep;
-    rep.accepted = true;
-    rep.message = "subscription resumed";
-    rep.model_version = session.model_version;
-    {
-      util::MutexLock lock(&group_->mu);
-      if (group_->dir->aggregator)
-        rep.num_synopses = group_->dir->aggregator->num_synopses();
-    }
-    rep.session_token = session.token;
-    rep.last_applied_seq = session.last_applied_seq;
-    rep.resumed = true;
-    encode_aggregate_subscribe_reply_into(rep, buf);
-    enqueue(c, FrameType::kAggregate, std::move(buf));
-  } else {
-    HelloReply rep;
-    rep.accepted = true;
-    rep.num_tiers = static_cast<std::uint16_t>(cfg_.num_tiers);
-    rep.window = session.window;
-    rep.model_version = session.model_version;
-    rep.message = "session resumed";
-    rep.dims.assign(static_cast<std::size_t>(cfg_.num_tiers),
-                    static_cast<std::uint16_t>(session.dim));
-    rep.session_token = session.token;
-    rep.last_applied_seq = session.last_applied_seq;
-    rep.resumed = true;
-    encode_hello_reply_into(rep, buf);
-    enqueue(c, FrameType::kHello, std::move(buf));
-  }
+  reply_handshake(c, session.aggregate, Handshake::kResumed,
+                  session.aggregate ? "subscription resumed"
+                                    : "session resumed");
   HPCAP_INFO << "hpcapd: agent '" << session.agent << "' resumed "
              << (session.aggregate ? "aggregate " : "") << "session (seq "
              << session.last_applied_seq << ", replay from window "
              << resume_from << " of " << session.window_index << ")";
 }
 
-// One resume claim attempt against the shard group. Returns true when
-// the session was claimed and attached. Returns false otherwise: with
-// `defer` set, the session is live on another reactor and an eviction +
-// retry is in flight (no reply yet); with `defer` clear, the resume is
-// rejected for good. Exactly one of `hello` / `agg` describes the ask.
-bool Server::try_claim_resume(Connection& c, const HelloRequest& req,
-                              const AggregateSubscribe* agg, bool& defer) {
-  defer = false;
-  const std::uint64_t token = agg ? agg->resume_token : req.resume_token;
-  const std::uint32_t resume_from =
-      agg ? agg->resume_from_window : req.resume_from_window;
+// The one check of a resume against the linger directory, under one
+// lock: a lingering session that matches the ask is moved out and
+// registered live on this reactor.
+Server::Claim Server::claim_lingering(const ResumeAsk& ask) {
+  Claim claim;
+  util::MutexLock lock(&group_->mu);
+  auto& dir = *group_->dir;
+  const auto it = dir.lingering.find(ask.token);
+  if (it == dir.lingering.end()) {
+    const auto lv = dir.live.find(ask.token);
+    if (lv != dir.live.end() && lv->second != shard_id_)
+      claim.live_on = lv->second;
+    else
+      claim.why = "unknown or expired resume token";
+    return claim;
+  }
+  const SessionState& s = *it->second;
+  if (s.aggregate != ask.aggregate)
+    claim.why = ask.aggregate
+                    ? "resume token names a sampling session, not a "
+                      "subscription"
+                    : "resume token names a subscription, not a sampling "
+                      "session";
+  else if (ask.aggregate ? s.coverage != ask.coverage
+                         : s.level != ask.level || s.window != ask.window ||
+                               ask.num_tiers != cfg_.num_tiers)
+    claim.why = "resume parameters do not match the original session";
+  else if (ask.from < s.replay_first_window || ask.from > s.window_index)
+    claim.why = "resume point outside the retained decision window";
+  if (claim.why != nullptr) return claim;
+  claim.session = std::move(it->second);
+  dir.lingering.erase(it);
+  dir.live[ask.token] = shard_id_;
+  return claim;
+}
 
+// Resumes the session `ask` names onto `c`: attached at once when it
+// lingers, deferred while the reactor holding it live evicts it, else
+// refused with the claim's reason.
+void Server::resume(Connection& c, ResumeAsk ask) {
   // The token may still be attached to a connection on THIS reactor that
   // the daemon hasn't noticed is dead (the client can observe a fault
   // and reconnect before the stale socket reports EOF). The client
   // proved ownership by presenting the token, so steal the session:
   // closing the stale connection parks it for the claim below.
-  for (const auto& [stale_fd, stale] : conns_) {
-    if (stale.get() != &c && stale->session &&
-        stale->session->token == token) {
-      close_connection(stale_fd, "superseded by session resume");
-      break;
-    }
-  }
+  if (Connection* stale = find_session(ask.token))
+    close_connection(stale->fd, "superseded by session resume");
 
-  std::unique_ptr<SessionState> claimed;
-  const char* why = nullptr;
-  bool live_elsewhere = false;
-  {
-    util::MutexLock lock(&group_->mu);
-    auto& dir = *group_->dir;
-    const auto it = dir.lingering.find(token);
-    if (it != dir.lingering.end()) {
-      SessionState& s = *it->second;
-      if (agg != nullptr) {
-        if (!s.aggregate)
-          why = "resume token names a sampling session, not a subscription";
-        else if (s.coverage != agg->synopses)
-          why = "resume coverage does not match the original subscription";
-      } else {
-        if (s.aggregate)
-          why = "resume token names a subscription, not a sampling session";
-        else if (s.level != req.level || s.window != req.window ||
-                 req.num_tiers != cfg_.num_tiers)
-          why = "resume parameters do not match the original session";
-      }
-      if (why == nullptr &&
-          (resume_from < s.replay_first_window ||
-           resume_from > s.window_index))
-        why = "resume point outside the retained decision window";
-      if (why == nullptr) {
-        claimed = std::move(it->second);
-        dir.lingering.erase(it);
-        dir.live[token] = shard_id_;
-      }
-    } else {
-      const auto lv = dir.live.find(token);
-      if (lv != dir.live.end() && lv->second != shard_id_)
-        live_elsewhere = true;
-      else
-        why = "unknown or expired resume token";
-    }
+  Claim claim = claim_lingering(ask);
+  if (claim.session) {
+    attach_resumed(c, std::move(claim.session), ask.from);
+    return;
   }
-
-  if (claimed) {
-    attach_resumed(c, std::move(claimed), resume_from);
-    return true;
-  }
-  if (live_elsewhere) {
+  if (claim.live_on) {
     // Evict the live connection on its owning reactor, then retry the
     // claim on a short timer until the parked session appears (or the
     // defer budget runs out and the resume is rejected).
-    std::size_t target = 0;
-    {
-      util::MutexLock lock(&group_->mu);
-      const auto lv = group_->dir->live.find(token);
-      if (lv == group_->dir->live.end()) {
-        // Parked between the two locks; retry immediately via the timer.
-        target = shard_id_;
-      } else {
-        target = lv->second;
-      }
-    }
-    if (target != shard_id_) {
-      ShardEnvelope env;
-      env.kind = ShardEnvelope::Kind::kEvictToken;
-      env.token = token;
-      group_->post(target, std::move(env));
-    }
+    ShardEnvelope env;
+    env.kind = ShardEnvelope::Kind::kEvictToken;
+    env.token = ask.token;
+    group_->post(*claim.live_on, std::move(env));
     PendingResume pending;
     pending.fd = c.fd;
-    pending.hello = req;
-    if (agg != nullptr) pending.agg = *agg;
+    pending.ask = std::move(ask);
     pending.deadline =
         loop_.now() + std::min(kResumeDeferCap, cfg_.handshake_timeout);
     pending_resumes_.push_back(std::move(pending));
@@ -741,11 +671,11 @@ bool Server::try_claim_resume(Connection& c, const HelloRequest& req,
       resume_timer_ = loop_.add_timer(kResumeRetryPeriod,
                                       [this] { retry_pending_resumes(); });
     }
-    defer = true;
-    return false;
+    return;
   }
-  (void)why;
-  return false;
+  ++stats_.resume_rejected;
+  ++stats_.hellos_rejected;
+  reply_handshake(c, ask.aggregate, Handshake::kRejected, claim.why);
 }
 
 void Server::retry_pending_resumes() {
@@ -755,74 +685,20 @@ void Server::retry_pending_resumes() {
     const auto it = conns_.find(p.fd);
     if (it == conns_.end() || it->second->doomed) continue;  // peer gone
     Connection& c = *it->second;
-
-    const std::uint64_t token =
-        p.agg ? p.agg->resume_token : p.hello.resume_token;
-    const std::uint32_t resume_from =
-        p.agg ? p.agg->resume_from_window : p.hello.resume_from_window;
-
-    bool still_live = false;
-    std::unique_ptr<SessionState> claimed;
-    const char* why = nullptr;
-    {
-      util::MutexLock lock(&group_->mu);
-      auto& dir = *group_->dir;
-      const auto li = dir.lingering.find(token);
-      if (li != dir.lingering.end()) {
-        SessionState& s = *li->second;
-        if (p.agg) {
-          if (!s.aggregate || s.coverage != p.agg->synopses)
-            why = "resume parameters do not match the original session";
-        } else if (s.aggregate || s.level != p.hello.level ||
-                   s.window != p.hello.window ||
-                   p.hello.num_tiers != cfg_.num_tiers) {
-          why = "resume parameters do not match the original session";
-        }
-        if (why == nullptr && (resume_from < s.replay_first_window ||
-                               resume_from > s.window_index))
-          why = "resume point outside the retained decision window";
-        if (why == nullptr) {
-          claimed = std::move(li->second);
-          dir.lingering.erase(li);
-          dir.live[token] = shard_id_;
-        }
-      } else if (dir.live.count(token) != 0) {
-        still_live = true;  // eviction still in flight
-      } else {
-        why = "unknown or expired resume token";
-      }
+    Claim claim = claim_lingering(p.ask);
+    if (claim.live_on && loop_.now() < p.deadline) {
+      keep.push_back(std::move(p));  // eviction still in flight
+      continue;
     }
-
-    if (claimed) {
+    if (claim.session) {
       ++stats_.cross_shard_resumes;
-      attach_resumed(c, std::move(claimed), resume_from);
-      flush_writes(c);
-      if (c.doomed) close_connection(p.fd, c.doom_reason);
-      continue;
-    }
-    if (still_live && loop_.now() < p.deadline) {
-      keep.push_back(std::move(p));
-      continue;
-    }
-    // Rejected: expired mid-eviction, mismatched ask, or defer timeout.
-    ++stats_.resume_rejected;
-    c.close_after_flush = true;
-    auto buf = take_spare(c);
-    if (p.agg) {
-      AggregateSubscribeReply rep;
-      rep.accepted = false;
-      rep.message = why != nullptr ? why : "resume eviction timed out";
-      rep.model_version = source_.version();
-      encode_aggregate_subscribe_reply_into(rep, buf);
-      enqueue(c, FrameType::kAggregate, std::move(buf));
+      attach_resumed(c, std::move(claim.session), p.ask.from);
     } else {
-      HelloReply rep;
-      rep.accepted = false;
-      rep.message = why != nullptr ? why : "resume eviction timed out";
-      rep.num_tiers = static_cast<std::uint16_t>(cfg_.num_tiers);
-      rep.model_version = source_.version();
-      encode_hello_reply_into(rep, buf);
-      enqueue(c, FrameType::kHello, std::move(buf));
+      // Rejected: expired mid-eviction, mismatched ask, or defer timeout.
+      ++stats_.resume_rejected;
+      reply_handshake(c, p.ask.aggregate, Handshake::kRejected,
+                      claim.why != nullptr ? claim.why
+                                           : "resume eviction timed out");
     }
     flush_writes(c);
     if (c.doomed) close_connection(p.fd, c.doom_reason);
@@ -834,100 +710,109 @@ void Server::retry_pending_resumes() {
   }
 }
 
+void Server::reply_handshake(Connection& c, bool aggregate, Handshake kind,
+                             const std::string& message) {
+  const SessionState* s =
+      kind == Handshake::kRejected ? nullptr : c.session.get();
+  if (s == nullptr) c.close_after_flush = true;
+  const auto fill = [&](auto& rep) {
+    rep.accepted = s != nullptr;
+    rep.message = message;
+    rep.model_version = s != nullptr ? s->model_version : source_.version();
+    if (s == nullptr) return;
+    rep.session_token = s->token;
+    rep.last_applied_seq = s->last_applied_seq;
+    rep.resumed = kind == Handshake::kResumed;
+  };
+  auto buf = take_spare(c);
+  if (aggregate) {
+    AggregateSubscribeReply rep;
+    fill(rep);
+    if (s != nullptr) {
+      util::MutexLock lock(&group_->mu);
+      if (group_->dir->aggregator)
+        rep.num_synopses = group_->dir->aggregator->num_synopses();
+    }
+    encode_aggregate_subscribe_reply_into(rep, buf);
+    enqueue(c, FrameType::kAggregate, std::move(buf));
+    return;
+  }
+  HelloReply rep;
+  fill(rep);
+  rep.num_tiers = static_cast<std::uint16_t>(cfg_.num_tiers);
+  if (s != nullptr) {
+    rep.window = s->window;
+    rep.dims.assign(static_cast<std::size_t>(cfg_.num_tiers),
+                    static_cast<std::uint16_t>(s->pipeline->options().dim));
+  }
+  encode_hello_reply_into(rep, buf);
+  enqueue(c, FrameType::kHello, std::move(buf));
+}
+
+Server::Connection* Server::find_session(std::uint64_t token) {
+  for (auto& [fd, conn] : conns_)
+    if (conn->session && conn->session->token == token) return conn.get();
+  return nullptr;
+}
+
 void Server::handle_hello(Connection& c, const HelloRequest& req) {
   ++stats_.hellos;
-  HelloReply rep;
-  rep.num_tiers = static_cast<std::uint16_t>(cfg_.num_tiers);
-  rep.model_version = source_.version();
-  const auto tiers = static_cast<std::size_t>(cfg_.num_tiers);
-
-  const auto send_reject = [&](const std::string& message) {
+  const auto reject = [&](const std::string& why) {
     ++stats_.hellos_rejected;
-    rep.accepted = false;
-    rep.message = message;
-    c.close_after_flush = true;
-    auto buf = take_spare(c);
-    encode_hello_reply_into(rep, buf);
-    enqueue(c, FrameType::kHello, std::move(buf));
+    reply_handshake(c, /*aggregate=*/false, Handshake::kRejected, why);
   };
-
   if (c.state != Connection::State::kAwaitHello) {
-    send_reject("duplicate HELLO");
+    reject("duplicate HELLO");
     return;
   }
-
   if (req.resume_token != 0) {
-    bool defer = false;
-    if (try_claim_resume(c, req, nullptr, defer)) return;
-    if (defer) return;  // reply comes from retry_pending_resumes
-    ++stats_.resume_rejected;
-    // try_claim_resume's reject reasons collapse to the observable
-    // classes the protocol promises; recompute the message under the
-    // directory lock, then reply with it released (the enqueue-free-of-mu
-    // invariant).
-    const char* why = "unknown or expired resume token";
-    {
-      util::MutexLock lock(&group_->mu);
-      const auto it = group_->dir->lingering.find(req.resume_token);
-      if (it != group_->dir->lingering.end()) {
-        if (it->second->aggregate || it->second->level != req.level ||
-            it->second->window != req.window ||
-            req.num_tiers != cfg_.num_tiers)
-          why = "resume parameters do not match the original session";
-        else
-          why = "resume point outside the retained decision window";
-      }
-    }
-    send_reject(why);
+    resume(c, {.token = req.resume_token,
+               .from = req.resume_from_window,
+               .level = req.level,
+               .window = req.window,
+               .num_tiers = req.num_tiers});
     return;
   }
 
+  const auto tiers = static_cast<std::size_t>(cfg_.num_tiers);
   const std::size_t dim = level_dim(req.level);
-  auto session = std::make_unique<SessionState>();
-  std::string why;
   if (dim == 0) {
-    why = "unknown metric level '" + req.level + "'";
-  } else if (req.num_tiers != cfg_.num_tiers) {
-    why = "tier count mismatch: agent " + std::to_string(req.num_tiers) +
-          ", daemon " + std::to_string(cfg_.num_tiers);
-  } else if (req.window < 1 || req.window > cfg_.max_window) {
-    why = "window out of range";
-  } else {
-    try {
-      session->monitor.emplace(source_.instantiate());
-      session->monitor->predictor().reset_history();
-    } catch (const std::exception& e) {
-      session->monitor.reset();
-      why = std::string("model instantiation failed: ") + e.what();
-    }
+    reject("unknown metric level '" + req.level + "'");
+    return;
   }
-  if (!session->monitor) {
-    send_reject(why);
+  if (req.num_tiers != cfg_.num_tiers) {
+    reject("tier count mismatch: agent " + std::to_string(req.num_tiers) +
+           ", daemon " + std::to_string(cfg_.num_tiers));
+    return;
+  }
+  if (req.window < 1 || req.window > cfg_.max_window) {
+    reject("window out of range");
+    return;
+  }
+  auto session = std::make_unique<SessionState>();
+  SessionState& s = *session;
+  try {
+    s.pipeline.emplace(source_.instantiate(),
+                       core::StreamPipeline::Options{
+                           .num_tiers = tiers,
+                           .dim = dim,
+                           .window = req.window,
+                           .max_missing_fraction = cfg_.max_missing_fraction,
+                           .aggregator_trim = cfg_.aggregator_trim,
+                           .validator_max_abs = cfg_.validator_max_abs,
+                           .export_votes = uplink_ != nullptr});
+    s.pipeline->monitor().predictor().reset_history();
+  } catch (const std::exception& e) {
+    reject(std::string("session setup failed: ") + e.what());
     return;
   }
 
-  SessionState& s = *session;
   s.token = group_->next_token();
   s.agent = req.agent;
   s.level = req.level;
   s.window = req.window;
-  s.dim = dim;
   s.model_version = source_.version();
-  core::RowValidator::Options vopts;
-  vopts.dim = dim;
-  vopts.max_abs = cfg_.validator_max_abs;
-  s.validator.emplace(vopts);
-  s.aggregators.reserve(tiers);
-  for (int t = 0; t < cfg_.num_tiers; ++t)
-    s.aggregators.emplace_back(dim, req.window, cfg_.max_missing_fraction,
-                               cfg_.aggregator_trim);
-  s.block.assign(kObserveBlock * tiers * dim, 0.0);
-  s.block_valid.assign(kObserveBlock * tiers, 0);
-  s.block_out.resize(kObserveBlock);
   if (uplink_ != nullptr) {
-    const std::size_t m = s.monitor->synopses().size();
-    s.votes_out.assign(kObserveBlock * m, 0);
-    s.votes_valid.assign(kObserveBlock * m, 0);
     s.uplink_votes.assign(uplink_->coverage().size(), 0);
     s.uplink_valid.assign(uplink_->coverage().size(), 0);
   }
@@ -937,17 +822,8 @@ void Server::handle_hello(Connection& c, const HelloRequest& req) {
   }
   c.session = std::move(session);
   c.state = Connection::State::kStreaming;
-
-  rep.accepted = true;
-  rep.window = req.window;
-  rep.message = "hpcapd ready";
-  rep.dims.assign(tiers, static_cast<std::uint16_t>(dim));
-  rep.session_token = s.token;
-  rep.last_applied_seq = 0;
-  rep.resumed = false;
-  auto buf = take_spare(c);
-  encode_hello_reply_into(rep, buf);
-  enqueue(c, FrameType::kHello, std::move(buf));
+  reply_handshake(c, /*aggregate=*/false, Handshake::kAccepted,
+                  "hpcapd ready");
   HPCAP_INFO << "hpcapd: agent '" << s.agent << "' streaming " << s.level
              << " level, window " << s.window << ", model v"
              << s.model_version;
@@ -964,6 +840,7 @@ void Server::handle_batch(Connection& c,
         "wire protocol: SAMPLE_BATCH on an aggregate session");
   const SampleBatchView batch = decode_sample_batch_view(payload, s.arena);
   const std::size_t tiers = static_cast<std::size_t>(cfg_.num_tiers);
+  core::StreamPipeline& pipeline = *s.pipeline;
 
   if (batch.batch_seq == 0)
     throw ProtocolError("wire protocol: zero batch sequence");
@@ -987,48 +864,23 @@ void Server::handle_batch(Connection& c,
     if (tick.tiers.size() != tiers)
       throw ProtocolError("wire protocol: tick tier count mismatch");
     for (const TierSlotView& slot : tick.tiers)
-      if (slot.present && slot.values.size() != s.dim)
+      if (slot.present && slot.values.size() != pipeline.options().dim)
         throw ProtocolError("wire protocol: slot width mismatch");
   }
 
   for (const TickView& tick : batch.ticks) {
-    ++stats_.ticks_in;
-    bool closed = false;
-    double* wrows = s.block.data() + s.block_windows * tiers * s.dim;
-    std::uint8_t* wmask = s.block_valid.data() + s.block_windows * tiers;
     for (std::size_t t = 0; t < tiers; ++t) {
       const TierSlotView& slot = tick.tiers[t];
-      counters::InstanceAggregator::SlotView result;
-      if (slot.present) {
-        ++stats_.slots_present;
-        result = s.aggregators[t].add_slot_view(slot.values);
-      } else {
-        ++stats_.slots_missing;
-        result = s.aggregators[t].mark_missing_view();
-      }
-      if (!result.window_closed) continue;
-      closed = true;
-      // All tiers consume one slot per tick, so their windows close on
-      // the same tick; copy this tier's row + validity into the block.
-      double* row = wrows + t * s.dim;
-      if (result.valid) {
-        std::copy(result.instance.begin(), result.instance.end(), row);
-        const auto verdict = s.validator->validate({row, s.dim});
-        wmask[t] = verdict == core::RowVerdict::kValid ? 1 : 0;
-        if (!wmask[t]) ++stats_.rows_rejected;
-      } else {
-        // Too many missing slots: a zero placeholder that must never
-        // reach a synopsis (the mask keeps it abstaining).
-        std::fill(row, row + s.dim, 0.0);
-        wmask[t] = 0;
-        ++stats_.windows_discarded;
-      }
+      if (slot.present)
+        pipeline.add_slot(t, slot.values);
+      else
+        pipeline.mark_missing(t);
     }
     // Note: the batch is applied whole even if a decision flush dooms the
     // connection (peer vanished mid-batch) — enqueue/flush no-op on a
     // doomed connection, and stopping midway would leave the session
     // state covering a fraction of a sequence number.
-    if (closed && ++s.block_windows == kObserveBlock) {
+    if (pipeline.end_tick()) {
       flush_decisions(c);
       // Mid-frame: a giant frame's first blocks need not wait for its
       // last. (The final block rides with the ACK in handle_io's flush.)
@@ -1036,6 +888,12 @@ void Server::handle_batch(Connection& c,
     }
   }
   flush_decisions(c);
+  const core::StreamPipeline::Counts n = pipeline.take_counts();
+  stats_.ticks_in += batch.ticks.size();
+  stats_.slots_present += n.slots_present;
+  stats_.slots_missing += n.slots_missing;
+  stats_.windows_discarded += n.windows_discarded;
+  stats_.rows_rejected += n.rows_rejected;
   s.last_applied_seq = batch.batch_seq;
   enqueue_ack(c);
 }
@@ -1058,35 +916,27 @@ void Server::handle_aggregate(Connection& c,
 void Server::handle_agg_subscribe(Connection& c,
                                   const AggregateSubscribe& req) {
   ++stats_.agg_subscribes;
-  AggregateSubscribeReply rep;
-  rep.model_version = source_.version();
-
-  const auto send_reject = [&](const std::string& message) {
+  const auto reject = [&](const std::string& why) {
     ++stats_.hellos_rejected;
-    rep.accepted = false;
-    rep.message = message;
-    c.close_after_flush = true;
-    auto buf = take_spare(c);
-    encode_aggregate_subscribe_reply_into(rep, buf);
-    enqueue(c, FrameType::kAggregate, std::move(buf));
+    reply_handshake(c, /*aggregate=*/true, Handshake::kRejected, why);
   };
-
   if (c.state != Connection::State::kAwaitHello) {
-    send_reject("duplicate handshake");
+    reject("duplicate handshake");
     return;
   }
-
   if (req.resume_token != 0) {
-    HelloRequest unused;
-    bool defer = false;
-    if (try_claim_resume(c, unused, &req, defer)) return;
-    if (defer) return;  // reply comes from retry_pending_resumes
-    ++stats_.resume_rejected;
-    send_reject("unknown or expired resume token");
+    resume(c, {.token = req.resume_token,
+               .from = req.resume_from_window,
+               .aggregate = true,
+               .coverage = req.synopses});
     return;
   }
 
-  const std::uint64_t token = group_->next_token();
+  auto session = std::make_unique<SessionState>();
+  SessionState& s = *session;
+  s.token = group_->next_token();
+  std::size_t num_synopses = 0;
+  std::optional<std::string> why;
   {
     util::MutexLock lock(&group_->mu);
     auto& dir = *group_->dir;
@@ -1094,46 +944,38 @@ void Server::handle_agg_subscribe(Connection& c,
       FleetAggregator::Options aopts;
       aopts.fanin = cfg_.agg_fanin;
       try {
-        dir.aggregator =
-            std::make_unique<FleetAggregator>(source_, aopts);
+        dir.aggregator = std::make_unique<FleetAggregator>(source_, aopts);
       } catch (const std::exception& e) {
-        send_reject(std::string("fleet model instantiation failed: ") +
-                    e.what());
-        return;
+        why = std::string("fleet model instantiation failed: ") + e.what();
       }
     }
-    try {
-      dir.aggregator->subscribe(token, req.synopses);
-    } catch (const std::exception& e) {
-      send_reject(e.what());
-      return;
+    if (dir.aggregator) {
+      try {
+        dir.aggregator->subscribe(s.token, req.synopses);
+        num_synopses = dir.aggregator->num_synopses();
+        s.model_version = dir.aggregator->model_version();
+        dir.live[s.token] = shard_id_;
+      } catch (const std::exception& e) {
+        why = e.what();
+      }
     }
-    rep.num_synopses = dir.aggregator->num_synopses();
-    rep.model_version = dir.aggregator->model_version();
-    dir.live[token] = shard_id_;
+  }
+  // Replied with the directory lock released: nothing is enqueued under
+  // group.mu.
+  if (why) {
+    reject(*why);
+    return;
   }
 
-  auto session = std::make_unique<SessionState>();
-  SessionState& s = *session;
   s.aggregate = true;
-  s.token = token;
   s.agent = req.leaf;
   s.coverage = req.synopses;
-  s.model_version = rep.model_version;
   c.session = std::move(session);
   c.state = Connection::State::kStreaming;
-
-  rep.accepted = true;
-  rep.message = "fleet subscription accepted";
-  rep.session_token = token;
-  rep.last_applied_seq = 0;
-  rep.resumed = false;
-  auto buf = take_spare(c);
-  encode_aggregate_subscribe_reply_into(rep, buf);
-  enqueue(c, FrameType::kAggregate, std::move(buf));
+  reply_handshake(c, /*aggregate=*/true, Handshake::kAccepted,
+                  "fleet subscription accepted");
   HPCAP_INFO << "hpcapd: leaf '" << s.agent << "' subscribed ("
-             << s.coverage.size() << " of " << rep.num_synopses
-             << " synopses)";
+             << s.coverage.size() << " of " << num_synopses << " synopses)";
 }
 
 void Server::handle_agg_votes(Connection& c, const AggregateBatch& batch) {
@@ -1209,15 +1051,8 @@ void Server::fan_out_fleet(std::vector<DecisionFrame> decided) {
       }
       const auto li = dir.lingering.find(token);
       if (li == dir.lingering.end()) continue;
-      SessionState& s = *li->second;
-      for (const DecisionFrame& d : decided) {
-        s.replay.push_back(d);
-        if (s.replay.size() > cfg_.decision_replay) {
-          s.replay.pop_front();
-          ++s.replay_first_window;
-        }
-        s.window_index = d.window_index + 1;
-      }
+      for (const DecisionFrame& d : decided)
+        li->second->record(d, cfg_.decision_replay);
     }
   }
   for (const Remote& r : remote) {
@@ -1228,13 +1063,7 @@ void Server::fan_out_fleet(std::vector<DecisionFrame> decided) {
     group_->post(r.shard, std::move(env));
   }
   for (const std::uint64_t token : local) {
-    Connection* c = nullptr;
-    for (auto& [fd, conn] : conns_) {
-      if (conn->session && conn->session->token == token) {
-        c = conn.get();
-        break;
-      }
-    }
+    Connection* c = find_session(token);
     if (c != nullptr && !c->doomed) deliver_fleet_local(*c, decided);
   }
 }
@@ -1242,22 +1071,16 @@ void Server::fan_out_fleet(std::vector<DecisionFrame> decided) {
 // hpcap-lint: hot-path
 void Server::deliver_fleet_local(Connection& c,
                                  std::span<const DecisionFrame> decided) {
-  SessionState& s = *c.session;
-  for (const DecisionFrame& frame : decided) {
-    // hpcap-lint: allow(hot-path-alloc)
-    s.replay.push_back(frame);
-    if (s.replay.size() > cfg_.decision_replay) {
-      s.replay.pop_front();
-      ++s.replay_first_window;
-    }
-    s.window_index = frame.window_index + 1;
-    if (!c.replaying) {
-      auto buf = take_spare(c);
-      encode_decision_into(frame, buf);
-      enqueue(c, FrameType::kDecision, std::move(buf));
-    }
-  }
+  for (const DecisionFrame& frame : decided) emit_decision(c, frame);
   flush_writes(c);
+}
+
+void Server::emit_decision(Connection& c, const DecisionFrame& frame) {
+  c.session->record(frame, cfg_.decision_replay);
+  if (c.replaying) return;
+  auto buf = take_spare(c);
+  encode_decision_into(frame, buf);
+  enqueue(c, FrameType::kDecision, std::move(buf));
 }
 
 // Permanent retirement of a session (linger expiry, non-resumable close,
@@ -1281,24 +1104,9 @@ void Server::retire_session(SessionState& s) {
 // hpcap-lint: hot-path
 void Server::flush_decisions(Connection& c) {
   SessionState& s = *c.session;
-  const std::size_t W = s.block_windows;
+  const auto decided = s.pipeline->decide();
+  const std::size_t W = decided.size();
   if (W == 0) return;
-  s.block_windows = 0;
-  const core::WindowBlock block{s.block.data(), W,
-                                static_cast<std::size_t>(cfg_.num_tiers),
-                                s.dim};
-  // Leaf mode additionally exports the per-window GPV for the uplink;
-  // the decisions themselves are bit-identical either way.
-  const bool export_votes = uplink_ != nullptr && !s.votes_out.empty();
-  const std::size_t m = export_votes ? s.monitor->synopses().size() : 0;
-  if (export_votes) {
-    s.monitor->predict_masked_many(block, s.block_valid.data(),
-                                   std::span(s.block_out.data(), W),
-                                   s.votes_out.data(), s.votes_valid.data());
-  } else {
-    s.monitor->predict_masked_many(block, s.block_valid.data(),
-                                   std::span(s.block_out.data(), W));
-  }
   stats_.windows += W;
   stats_.decisions += W;
   if (group_->ctrl) {
@@ -1306,46 +1114,31 @@ void Server::flush_decisions(Connection& c) {
     // the recommended cap from STATS. Anchorless feed (no load signal
     // here), leaf-level lock, no allocation.
     util::MutexLock lock(&group_->ctrl_mu);
-    for (std::size_t w = 0; w < W; ++w) group_->ctrl->on_window(s.block_out[w]);
+    for (const auto& d : decided) group_->ctrl->on_window(d);
   }
+  // Leaf mode exports each window's GPV to the uplink; the decisions
+  // themselves are bit-identical either way.
+  const bool export_votes =
+      uplink_ != nullptr && s.pipeline->options().export_votes;
   for (std::size_t w = 0; w < W; ++w) {
-    const auto& d = s.block_out[w];
-    DecisionFrame frame;
-    frame.window_index = s.window_index++;
-    frame.state = static_cast<std::uint8_t>(d.state);
-    frame.confident = d.confident ? 1 : 0;
-    frame.degraded = d.degraded ? 1 : 0;
-    frame.hc = d.hc;
-    frame.bottleneck_tier = d.bottleneck_tier;
-    frame.staleness = d.staleness;
+    const DecisionFrame frame = to_decision_frame(s.window_index, decided[w]);
     if (export_votes) {
       // Slice this window's full-width GPV down to the uplink's coverage
       // order; a covered index the local model lacks stays abstaining.
+      const auto votes = s.pipeline->votes(w);
+      const auto valid = s.pipeline->votes_valid(w);
       const auto& cov = uplink_->coverage();
       for (std::size_t i = 0; i < cov.size(); ++i) {
         const std::size_t g = cov[i];
-        const bool have = g < m;
-        s.uplink_votes[i] = have ? s.votes_out[w * m + g] : 0;
-        s.uplink_valid[i] = have ? s.votes_valid[w * m + g] : 0;
+        const bool have = g < votes.size();
+        s.uplink_votes[i] = have ? votes[g] : 0;
+        s.uplink_valid[i] = have ? valid[g] : 0;
       }
       uplink_->offer(s.token, frame.window_index,
                      std::span(s.uplink_votes.data(), cov.size()),
                      std::span(s.uplink_valid.data(), cov.size()));
     }
-    // Retain for resume replay. The ring is bounded by decision_replay
-    // (the pop below) and DecisionFrame is trivially copyable, so the
-    // deque stops allocating once it reaches its high-water size.
-    // hpcap-lint: allow(hot-path-alloc)
-    s.replay.push_back(frame);
-    if (s.replay.size() > cfg_.decision_replay) {
-      s.replay.pop_front();
-      ++s.replay_first_window;
-    }
-    if (!c.replaying) {
-      auto buf = take_spare(c);
-      encode_decision_into(frame, buf);
-      enqueue(c, FrameType::kDecision, std::move(buf));
-    }
+    emit_decision(c, frame);
   }
 }
 
@@ -1474,27 +1267,21 @@ void Server::handle_reload(Connection& c, const ReloadRequest& req) {
   ReloadReply rep;
   if (!control_allowed_) {
     ++stats_.control_rejected;
-    rep.ok = false;
-    rep.model_version = source_.version();
     rep.message = "remote control disabled on this bind";
     HPCAP_WARN << "hpcapd: RELOAD refused (control policy)";
-    auto buf = take_spare(c);
-    encode_reload_reply_into(rep, buf);
-    enqueue(c, FrameType::kReload, std::move(buf));
-    return;
-  }
-  try {
-    source_.swap_from_file(req.path);
-    ++stats_.reloads;
-    rep.ok = true;
-    rep.message = "model reloaded";
-    HPCAP_INFO << "hpcapd: model reloaded (v" << source_.version() << ")";
-  } catch (const std::exception& e) {
-    ++stats_.reload_failures;
-    rep.ok = false;
-    rep.message = e.what();
-    HPCAP_WARN << "hpcapd: reload failed, keeping current model: "
-               << e.what();
+  } else {
+    try {
+      source_.swap_from_file(req.path);
+      ++stats_.reloads;
+      rep.ok = true;
+      rep.message = "model reloaded";
+      HPCAP_INFO << "hpcapd: model reloaded (v" << source_.version() << ")";
+    } catch (const std::exception& e) {
+      ++stats_.reload_failures;
+      rep.message = e.what();
+      HPCAP_WARN << "hpcapd: reload failed, keeping current model: "
+                 << e.what();
+    }
   }
   rep.model_version = source_.version();
   auto buf = take_spare(c);
@@ -1883,95 +1670,44 @@ int run_daemon(const ServerConfig& cfg, const std::string& model_path,
     }
   }();
 
-  if (cfg.reactors > 1) {
-    // Multi-reactor daemon: ShardedServer owns the loops and threads;
-    // signals land on shard 0's loop.
-    ShardedServer sharded(source, cfg);
-    std::unique_ptr<Uplink> uplink = make_uplink(cfg, source);
-    if (uplink) sharded.set_uplink(uplink.get());
-    if (install_signals) {
-      g_signal_loop.store(&sharded.loop(0));
-      std::signal(SIGINT, on_term);
-      std::signal(SIGTERM, on_term);
-      std::signal(SIGHUP, on_hup);
-      std::signal(SIGPIPE, SIG_IGN);
-      sharded.set_shard0_wake_hook([&sharded] {
-        if (g_got_hup) {
-          g_got_hup = 0;
-          sharded.shard(0).request_reload();
-        }
-        if (g_got_term) {
-          g_got_term = 0;
-          sharded.shard(0).begin_shutdown();
-        }
-      });
-    }
-    sharded.start();
-    std::printf(
-        "hpcapd listening on %s:%u (model v%u, protocol v%u, %zu "
-        "reactors)\n",
-        cfg.bind_address.c_str(), sharded.port(), source.version(),
-        kProtocolVersion, cfg.reactors);
-    std::fflush(stdout);
-    sharded.join();
-    if (uplink) uplink->stop();
-    if (install_signals) {
-      std::signal(SIGINT, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      std::signal(SIGHUP, SIG_DFL);
-      g_signal_loop.store(nullptr);
-    }
-    const ServerStats& s = sharded.group().stats;
-    std::printf(
-        "hpcapd exiting: %llu decisions (%llu shed), %llu windows, "
-        "%llu connections, %llu resumes (%llu sessions expired)\n",
-        static_cast<unsigned long long>(s.decisions),
-        static_cast<unsigned long long>(s.decisions_shed),
-        static_cast<unsigned long long>(s.windows),
-        static_cast<unsigned long long>(s.connections_accepted),
-        static_cast<unsigned long long>(s.sessions_resumed),
-        static_cast<unsigned long long>(s.sessions_expired));
-    return 0;
-  }
-
-  EventLoop loop;
-  Server server(loop, source, cfg);
+  // One reactor or many: ShardedServer runs reactor 0's loop on this
+  // thread (the rest on their own) and signals land on that loop.
+  ShardedServer daemon(source, cfg);
   std::unique_ptr<Uplink> uplink = make_uplink(cfg, source);
-  if (uplink) server.set_uplink(uplink.get());
-  server.start();
-
+  if (uplink) daemon.set_uplink(uplink.get());
   if (install_signals) {
-    g_signal_loop.store(&loop);
+    g_signal_loop.store(&daemon.loop(0));
     std::signal(SIGINT, on_term);
     std::signal(SIGTERM, on_term);
     std::signal(SIGHUP, on_hup);
     std::signal(SIGPIPE, SIG_IGN);
+    daemon.set_shard0_wake_hook([&daemon] {
+      if (g_got_hup) {
+        g_got_hup = 0;
+        daemon.shard(0).request_reload();
+      }
+      if (g_got_term) {
+        g_got_term = 0;
+        daemon.shard(0).begin_shutdown();
+      }
+    });
   }
-  loop.set_wake_handler([&] {
-    if (g_got_hup) {
-      g_got_hup = 0;
-      server.request_reload();
-    }
-    if (g_got_term) {
-      g_got_term = 0;
-      server.begin_shutdown();
-    }
-  });
-
-  std::printf("hpcapd listening on %s:%u (model v%u, protocol v%u)\n",
-              cfg.bind_address.c_str(), server.port(), source.version(),
+  daemon.start();
+  std::printf("hpcapd listening on %s:%u (model v%u, protocol v%u",
+              cfg.bind_address.c_str(), daemon.port(), source.version(),
               kProtocolVersion);
+  if (cfg.reactors > 1) std::printf(", %zu reactors", cfg.reactors);
+  std::printf(")\n");
   std::fflush(stdout);
-  loop.run();
+  daemon.join();
   if (uplink) uplink->stop();
-
   if (install_signals) {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
     std::signal(SIGHUP, SIG_DFL);
     g_signal_loop.store(nullptr);
   }
-  const ServerStats& s = server.stats();
+  const ServerStats& s = daemon.group().stats;
   std::printf(
       "hpcapd exiting: %llu decisions (%llu shed), %llu windows, "
       "%llu connections, %llu resumes (%llu sessions expired)\n",

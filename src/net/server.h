@@ -3,16 +3,16 @@
 // One event-loop thread serves a set of agent connections. A connection
 // carries one monitored sample stream: the agent HELLOs with its metric
 // level, tier count and window size, then pushes per-tier 1 Hz slots in
-// SAMPLE_BATCH frames. The session feeds each slot through a per-tier
-// counters::InstanceAggregator (gap-aware 30 s windowing), gates every
-// closed window row through core::RowValidator, and hands the rows and
-// validity mask to its own CapacityMonitor — exactly the in-process
-// degraded-mode pipeline, behind a socket. Each DECISION produced streams
-// straight back to the agent.
+// SAMPLE_BATCH frames. The session feeds every slot to its own
+// core::StreamPipeline (core/stream.h: gap-aware windowing, row
+// validation, batched masked decide) — exactly the in-process
+// degraded-mode chain, behind a socket. Each DECISION produced streams
+// straight back to the agent. The server itself keeps only transport
+// and session bookkeeping.
 //
 // Sessions and connections are distinct objects: the Connection is the
 // socket (deadlines, assembler, write queue) and the SessionState is the
-// stream state (aggregators, validator, monitor, sequence bookkeeping).
+// stream state (pipeline, sequence bookkeeping, replay ring).
 // The session survives its socket — when the peer vanishes, the session
 // detaches into a linger directory for cfg.session_linger seconds, and
 // a client reconnecting with the resume token from HELLO_ACK reattaches
@@ -51,12 +51,12 @@
 // The receive path is zero-copy end to end: frames are dispatched as
 // FrameRef spans into the connection's assembler buffer, SAMPLE_BATCH
 // payloads decode through a per-session BatchArena (no per-tick
-// allocation after warmup), closed windows accumulate in a contiguous
-// WindowBlock scratch, and decisions for up to kObserveBlock windows are
-// computed in one CapacityMonitor::predict_masked_many call. Outbound
-// frames encode into recycled buffers; handlers only enqueue, and a
-// connection's queued frames (a batch's DECISIONs and its ACK together)
-// leave in one scatter-gather ::sendmsg per event-loop wakeup.
+// allocation after warmup), and the pipeline decides up to
+// core::kObserveBlock closed windows at a time, when its block fills and
+// at the end of every frame. Outbound frames encode into recycled
+// buffers; handlers only enqueue, and a connection's queued frames (a
+// batch's DECISIONs and its ACK together) leave in one scatter-gather
+// ::sendmsg per event-loop wakeup.
 //
 // Decisions over the wire are bit-identical to the in-process pipeline on
 // the same stream: every session gets a private monitor instance (from
@@ -383,7 +383,9 @@ class Server {
 
  private:
   struct Connection;
+  struct ResumeAsk;
   struct PendingResume;
+  struct Claim;
 
   void accept_ready();
   void handle_io(int fd, bool readable, bool writable);
@@ -396,10 +398,10 @@ class Server {
   void handle_stats(Connection& c);
   void handle_reload(Connection& c, const ReloadRequest& req);
   void handle_shutdown(Connection& c);
-  // Decides every window accumulated in the session's block scratch
-  // (one predict_masked_many call), records them in the replay ring and
-  // enqueues the DECISION frames; it does not flush. In leaf mode also
-  // offers each window's GPV to the uplink.
+  // Decides every window pending in the session's StreamPipeline,
+  // records them in the replay ring and enqueues the DECISION frames; it
+  // does not flush. In leaf mode also offers each window's GPV to the
+  // uplink.
   void flush_decisions(Connection& c);
   // Coalesced cumulative ACK: overwrites an unsent ACK at the queue tail
   // instead of stacking a new one. Never one further up the queue — that
@@ -418,7 +420,7 @@ class Server {
   // unless the queue is full of unread control frames, which dooms the
   // connection. Callers
   // batch frames and flush once; the flush points are (a) the end of
-  // handle_io, (b) a kObserveBlock decision block filling mid-batch,
+  // handle_io, (b) a core::kObserveBlock decision block filling mid-batch,
   // (c) here, when the queue is full, before anything is shed or
   // dropped, and (d) paths that enqueue onto a connection other than the
   // one being serviced (fleet delivery, mailbox and timer callbacks).
@@ -434,10 +436,19 @@ class Server {
   void arm_sweep();
 
   // Resume plumbing across the group directory (see server.cpp).
-  bool try_claim_resume(Connection& c, const HelloRequest& req,
-                        const AggregateSubscribe* agg, bool& defer);
+  void resume(Connection& c, ResumeAsk ask);
+  Claim claim_lingering(const ResumeAsk& ask);
   void attach_resumed(Connection& c, std::unique_ptr<SessionState> s,
                       std::uint32_t resume_from);
+  // Answers a handshake with a HELLO_ACK or, for an aggregate session, a
+  // SUBSCRIBE_REPLY. Accepted and resumed replies describe c.session; a
+  // rejected one carries `message` as its reason and closes the
+  // connection once flushed.
+  enum class Handshake { kRejected, kAccepted, kResumed };
+  void reply_handshake(Connection& c, bool aggregate, Handshake kind,
+                       const std::string& message);
+  // The connection on this reactor whose session holds `token`, or null.
+  Connection* find_session(std::uint64_t token);
   // Whether a session dropped now could be resumed: lingering enabled
   // and the daemon not draining.
   bool resumable() const noexcept;
@@ -447,6 +458,9 @@ class Server {
   // lingering rings directly). Called with group.mu NOT held.
   void fan_out_fleet(std::vector<DecisionFrame> decided);
   void deliver_fleet_local(Connection& c, std::span<const DecisionFrame> d);
+  // Retains a decided window in the session's replay ring and queues its
+  // DECISION, unless a resume replay is feeding the queue from the ring.
+  void emit_decision(Connection& c, const DecisionFrame& frame);
   // Permanently retires a session (linger expiry / non-resumable close):
   // aggregate subscriptions unsubscribe and their final degraded windows
   // fan out.

@@ -5,11 +5,14 @@
 // including the predictor's history evolution and degraded-mode staleness
 // bookkeeping. This suite drives two identically-built monitors through
 // the same streams, one per path, across all three learners and uneven
-// block boundaries.
+// block boundaries. The same holds one level up: core::StreamPipeline,
+// fed slot by slot, must reproduce the scalar add_slot -> validate ->
+// observe_masked chain window by window — rows, validity and decisions.
 //
 // It also pins down the "zero-copy" half of the contract with a counting
 // allocator (same pattern as core_hotpath_test): the warm batched observe
-// path and the warm BatchArena wire decode perform no heap allocation.
+// path, the warm StreamPipeline and the warm BatchArena wire decode
+// perform no heap allocation.
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "core/stream.h"
 #include "counters/fault.h"
 #include "net/protocol.h"
 #include "util/rng.h"
@@ -327,6 +331,248 @@ TEST(BatchedEquivalence, MixedFaultStreamMatchesScalarSvm) {
                             /*masked=*/true, "SVM faulted");
 }
 
+// --- StreamPipeline against the scalar chain -------------------------------
+
+constexpr int kSlotsPerWindow = 4;
+
+// A per-tick slot stream: slot (tick k, tier t) is present when
+// present[k * kTiers + t] is set, with its row at values[(k*kTiers+t)*kDim].
+struct SlotStream {
+  std::size_t ticks = 0;
+  std::vector<std::uint8_t> present;
+  std::vector<double> values;
+
+  bool has(std::size_t k, std::size_t t) const {
+    return present[k * kTiers + t] != 0;
+  }
+  std::span<const double> slot(std::size_t k, std::size_t t) const {
+    return {values.data() + (k * kTiers + t) * kDim, kDim};
+  }
+};
+
+SlotStream clean_slots(std::size_t windows, std::uint64_t seed) {
+  SlotStream s;
+  s.ticks = windows * kSlotsPerWindow;
+  s.present.assign(s.ticks * kTiers, 1);
+  Rng rng(seed);
+  for (std::size_t k = 0; k < s.ticks; ++k) {
+    const double level = static_cast<double>((k / kSlotsPerWindow) % 2);
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      s.values.push_back(level + rng.normal(0.0, 0.2));
+      s.values.push_back(rng.uniform());
+      s.values.push_back(level + rng.normal(0.0, 0.3));
+      s.values.push_back(rng.uniform());
+    }
+  }
+  return s;
+}
+
+// FaultPlan::mixed(0.05) per tier: dropped and blacked-out ticks become
+// missing slots, and perturb() corrupts the rest (NaN, Inf, 1e30 junk,
+// spikes, stuck metrics) for the aggregator and validator to catch.
+SlotStream faulted_slots(std::size_t windows, std::uint64_t seed) {
+  SlotStream s = clean_slots(windows, seed);
+  const counters::FaultPlan plan = counters::FaultPlan::mixed(0.05, seed);
+  std::vector<counters::FaultInjector> injectors;
+  for (std::size_t t = 0; t < kTiers; ++t)
+    injectors.emplace_back(plan, /*stream_salt=*/t + 1);
+  std::vector<double> row(kDim);
+  for (std::size_t k = 0; k < s.ticks; ++k) {
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      if (injectors[t].step() != counters::FaultInjector::SampleFate::kOk) {
+        s.present[k * kTiers + t] = 0;
+        continue;
+      }
+      double* r = s.values.data() + (k * kTiers + t) * kDim;
+      row.assign(r, r + kDim);
+      injectors[t].perturb(row);
+      std::copy(row.begin(), row.end(), r);
+    }
+  }
+  return s;
+}
+
+StreamPipeline::Options stream_options() {
+  return {.num_tiers = kTiers, .dim = kDim, .window = kSlotsPerWindow};
+}
+
+// One decided window: its tier rows (kTiers * kDim, block layout), their
+// validity, and the decision.
+struct WindowOut {
+  std::vector<double> rows;
+  std::vector<std::uint8_t> valid;
+  CoordinatedPredictor::Decision decision;
+};
+
+// The scalar reference: per-tier InstanceAggregator::add_slot, a zero row
+// for a discarded window, RowValidator::validate, then observe_masked,
+// one window at a time.
+std::vector<WindowOut> scalar_chain(const SlotStream& st) {
+  CapacityMonitor monitor = make_monitor(ml::LearnerKind::kTan);
+  train(monitor);
+  const StreamPipeline::Options opts = stream_options();
+  std::vector<counters::InstanceAggregator> aggs;
+  for (std::size_t t = 0; t < kTiers; ++t)
+    aggs.emplace_back(kDim, opts.window, opts.max_missing_fraction,
+                      opts.aggregator_trim);
+  RowValidator validator({.dim = kDim, .max_abs = opts.validator_max_abs});
+  std::vector<WindowOut> out;
+  for (std::size_t k = 0; k < st.ticks; ++k) {
+    std::vector<std::vector<double>> rows(kTiers,
+                                          std::vector<double>(kDim, 0.0));
+    std::vector<std::uint8_t> valid(kTiers, 0);
+    bool closed = false;
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      const auto r = st.has(k, t)
+                         ? aggs[t].add_slot({st.slot(k, t).begin(),
+                                             st.slot(k, t).end()})
+                         : aggs[t].mark_missing();
+      if (!r.window_closed) continue;
+      closed = true;
+      if (r.instance) {
+        rows[t] = *r.instance;
+        valid[t] = validator.validate(rows[t]) == RowVerdict::kValid;
+      }
+    }
+    if (!closed) continue;
+    WindowOut w;
+    for (const auto& row : rows) w.rows.insert(w.rows.end(), row.begin(), row.end());
+    w.valid = valid;
+    w.decision = monitor.observe_masked(rows, valid);
+    out.push_back(std::move(w));
+  }
+  return out;
+}
+
+// Feeds `st` through a StreamPipeline the way hpcapd does: in frames of
+// `frame_ticks` ticks, deciding whenever end_tick reports a full block
+// and at every frame end. A full block must hold exactly kObserveBlock
+// windows, and fewer may never be reported as full. `full_blocks`
+// counts the block-full decides.
+std::vector<WindowOut> pipeline_chain(const SlotStream& st,
+                                      std::size_t frame_ticks,
+                                      std::size_t* full_blocks = nullptr,
+                                      StreamPipeline::Counts* counts = nullptr) {
+  CapacityMonitor monitor = make_monitor(ml::LearnerKind::kTan);
+  train(monitor);
+  StreamPipeline p(std::move(monitor), stream_options());
+  std::vector<WindowOut> out;
+  const auto decide = [&] {
+    const WindowBlock block = p.pending_block();
+    const auto valid = p.pending_valid();
+    const std::size_t width = kTiers * kDim;
+    for (std::size_t w = 0; w < block.num_windows; ++w) {
+      WindowOut o;
+      o.rows.assign(block.data + w * width, block.data + (w + 1) * width);
+      o.valid.assign(valid.begin() + static_cast<std::ptrdiff_t>(w * kTiers),
+                     valid.begin() +
+                         static_cast<std::ptrdiff_t>((w + 1) * kTiers));
+      out.push_back(std::move(o));
+    }
+    const auto decided = p.decide();
+    EXPECT_EQ(decided.size(), block.num_windows);
+    for (std::size_t i = 0; i < decided.size(); ++i)
+      out[out.size() - decided.size() + i].decision = decided[i];
+    return decided.size();
+  };
+  if (full_blocks != nullptr) *full_blocks = 0;
+  for (std::size_t k = 0; k < st.ticks; ++k) {
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      if (st.has(k, t))
+        p.add_slot(t, st.slot(k, t));
+      else
+        p.mark_missing(t);
+    }
+    if (p.end_tick()) {
+      EXPECT_EQ(decide(), kObserveBlock) << "block reported full at tick " << k;
+      if (full_blocks != nullptr) ++*full_blocks;
+    }
+    EXPECT_LT(p.pending_block().num_windows, kObserveBlock)
+        << "a full block went unreported at tick " << k;
+    if ((k + 1) % frame_ticks == 0) decide();
+  }
+  decide();
+  if (counts != nullptr) *counts = p.take_counts();
+  return out;
+}
+
+void expect_windows_equal(const std::vector<WindowOut>& got,
+                          const std::vector<WindowOut>& want,
+                          const char* name) {
+  ASSERT_EQ(got.size(), want.size()) << name;
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w].rows, want[w].rows) << name << " window " << w;
+    EXPECT_EQ(got[w].valid, want[w].valid) << name << " window " << w;
+    expect_equal(got[w].decision, want[w].decision, name, w);
+  }
+}
+
+bool all_zero(const std::vector<double>& v, std::size_t from, std::size_t n) {
+  for (std::size_t i = from; i < from + n; ++i)
+    if (v[i] != 0.0) return false;
+  return true;
+}
+
+TEST(BatchedEquivalence, StreamPipelineMatchesScalarChainOnMixedFaults) {
+  const SlotStream st = faulted_slots(256, 41);
+  StreamPipeline::Counts counts;
+  const auto want = scalar_chain(st);
+  expect_windows_equal(pipeline_chain(st, /*frame_ticks=*/7, nullptr, &counts),
+                       want, "mixed(0.05)");
+
+  // The stream must exercise both gates, and the pipeline's tallies (what
+  // hpcapd reports in STATS) must count them.
+  std::uint64_t present = 0, discarded = 0, rejected = 0;
+  for (const std::uint8_t p : st.present) present += p;
+  for (const WindowOut& w : want) {
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      if (w.valid[t]) continue;
+      if (all_zero(w.rows, t * kDim, kDim))
+        ++discarded;
+      else
+        ++rejected;
+    }
+  }
+  EXPECT_GT(discarded, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(counts.slots_present, present);
+  EXPECT_EQ(counts.slots_missing, st.present.size() - present);
+  EXPECT_EQ(counts.windows_discarded, discarded);
+  EXPECT_EQ(counts.rows_rejected, rejected);
+}
+
+TEST(BatchedEquivalence, StreamPipelineMatchesScalarChainAtBlockEdges) {
+  // Frames of 31, 32 and 33 windows: the frame ends one window short of a
+  // full block, exactly on one, and one past it.
+  for (const std::size_t n : {std::size_t{31}, std::size_t{32},
+                              std::size_t{33}}) {
+    const SlotStream st = faulted_slots(3 * n, 43 + n);
+    std::size_t full = 0;
+    expect_windows_equal(pipeline_chain(st, n * kSlotsPerWindow, &full),
+                         scalar_chain(st), "block edge");
+    EXPECT_EQ(full, n < kObserveBlock ? 0u : 3u) << n << "-window frames";
+  }
+}
+
+TEST(BatchedEquivalence, StreamPipelineZeroesAllMissingWindow) {
+  // Window 40 sits at position 8 of the second block, over a slot that
+  // held window 8's valid rows: with every slot missing it must enter the
+  // block as zero placeholder rows with both tiers invalid.
+  SlotStream st = clean_slots(80, 47);
+  constexpr std::size_t kBlank = 40;
+  for (std::size_t k = kBlank * kSlotsPerWindow;
+       k < (kBlank + 1) * kSlotsPerWindow; ++k)
+    for (std::size_t t = 0; t < kTiers; ++t) st.present[k * kTiers + t] = 0;
+  const auto want = scalar_chain(st);
+  const auto got = pipeline_chain(st, st.ticks);
+  expect_windows_equal(got, want, "all-missing window");
+  ASSERT_EQ(got.size(), 80u);
+  EXPECT_TRUE(all_zero(got[kBlank].rows, 0, kTiers * kDim));
+  EXPECT_EQ(got[kBlank].valid, std::vector<std::uint8_t>(kTiers, 0));
+  EXPECT_TRUE(got[kBlank].decision.degraded);
+  EXPECT_FALSE(all_zero(got[kBlank - kObserveBlock].rows, 0, kTiers * kDim));
+}
+
 class AllocationGuard {
  public:
   AllocationGuard() {
@@ -383,6 +629,47 @@ TEST(BatchedZeroAlloc, WarmPredictMaskedManyIsAllocationFree) {
   }
   EXPECT_EQ(observed, 0)
       << "predict_masked_many allocated on the warm degraded batched path";
+}
+
+TEST(BatchedZeroAlloc, WarmStreamPipelineIsAllocationFree) {
+#if !HPCAP_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under ASan/TSan";
+#endif
+  // Slot feed, both gates, block-full and frame-end decides and the GPV
+  // export: the daemon's per-tick and per-window path.
+  CapacityMonitor monitor = make_monitor(ml::LearnerKind::kTan);
+  train(monitor);
+  StreamPipeline::Options opts = stream_options();
+  opts.export_votes = true;
+  StreamPipeline p(std::move(monitor), opts);
+  const SlotStream st = faulted_slots(96, 53);
+  int sink = 0;
+  const auto feed = [&] {
+    for (std::size_t k = 0; k < st.ticks; ++k) {
+      for (std::size_t t = 0; t < kTiers; ++t) {
+        if (st.has(k, t))
+          p.add_slot(t, st.slot(k, t));
+        else
+          p.mark_missing(t);
+      }
+      if (p.end_tick() || (k + 1) % 29 == 0) {
+        const auto decided = p.decide();
+        for (std::size_t w = 0; w < decided.size(); ++w)
+          sink += decided[w].state + p.votes(w)[0] + p.votes_valid(w)[1];
+      }
+    }
+    (void)p.take_counts();
+  };
+  for (int i = 0; i < 2; ++i) feed();
+
+  long observed = -1;
+  {
+    AllocationGuard guard;
+    for (int i = 0; i < 2; ++i) feed();
+    observed = alloc_count();
+  }
+  EXPECT_EQ(observed, 0) << "StreamPipeline allocated after warm-up";
+  EXPECT_GE(sink, 0);
 }
 
 TEST(BatchedZeroAlloc, WarmArenaDecodeIsAllocationFree) {

@@ -1069,6 +1069,21 @@ TEST(NetLoopback, HelloRejectsBadLevelTiersAndWindow) {
     EXPECT_FALSE(r.accepted);
     EXPECT_NE(r.message.find("window"), std::string::npos);
   }
+  {
+    // A window too short for the configured trim cannot be aggregated:
+    // the HELLO is refused and the daemon keeps serving.
+    net::ServerConfig trimmed = cfg;
+    trimmed.aggregator_trim = 2;
+    Harness t(core::MonitorSource::from_bytes(bundle_a()), trimmed);
+    net::Client c;
+    c.connect("127.0.0.1", t.port());
+    const auto r = c.hello({"x", "hpc", 2, 4});
+    EXPECT_FALSE(r.accepted);
+    EXPECT_NE(r.message.find("trimmed_samples"), std::string::npos);
+    net::Client ok;
+    ok.connect("127.0.0.1", t.port());
+    EXPECT_TRUE(ok.hello({"y", "hpc", 2, 8}).accepted);
+  }
 }
 
 TEST(NetLoopback, ShutdownAcksDrainsAndStopsTheLoop) {

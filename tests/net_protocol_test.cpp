@@ -487,9 +487,7 @@ TEST(NetProtocol, AssemblerYieldsFramesFedByteAtATime) {
   }
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].type, FrameType::kHello);
-  EXPECT_EQ(got[0].version, kProtocolVersion);
   EXPECT_EQ(got[1].type, FrameType::kStats);
-  EXPECT_EQ(got[1].version, kProtocolVersion);
   EXPECT_EQ(got[0].payload.size(), f1.size() - kHeaderSize - kCrcSize);
   EXPECT_EQ(got[1].payload.size(), 0u);
   EXPECT_EQ(asm_.buffered(), 0u);

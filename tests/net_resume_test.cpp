@@ -456,6 +456,60 @@ TEST(NetResume, LingerSweepExpiresUnresumedSessionsAndRejectsStaleTokens) {
   EXPECT_EQ(observer.stats().value("resume_rejected"), 1u);
 }
 
+TEST(NetResume, RefusedResumeRepliesWithTheClaimReason) {
+  Harness h(core::MonitorSource::from_bytes(bundle()), test_config());
+  RawConn first(h.port());
+  first.send(net::encode_hello_request(raw_hello()));
+  auto reply_frame = first.next_frame();
+  ASSERT_TRUE(reply_frame.has_value());
+  const auto reply = net::decode_hello_reply(reply_frame->payload);
+  ASSERT_TRUE(reply.accepted);
+  const std::uint64_t token = reply.session_token;
+  first.close();  // park it
+
+  // Each refused ask is answered with the reason the claim found, and
+  // leaves the session lingering for a matching one.
+  const auto refused_hello = [&](const net::HelloRequest& req,
+                                 const char* why) {
+    RawConn conn(h.port());
+    conn.send(net::encode_hello_request(req));
+    auto frame = conn.next_frame();
+    ASSERT_TRUE(frame.has_value());
+    const auto rep = net::decode_hello_reply(frame->payload);
+    EXPECT_FALSE(rep.accepted);
+    EXPECT_NE(rep.message.find(why), std::string::npos) << rep.message;
+  };
+  net::HelloRequest other_window = raw_hello(token, 0);
+  other_window.window = 2;
+  refused_hello(other_window, "do not match");
+  refused_hello(raw_hello(token, 5), "outside the retained decision window");
+
+  net::AggregateSubscribe sub;
+  sub.leaf = "raw";
+  sub.synopses = {0};
+  sub.resume_token = token;
+  RawConn agg(h.port());
+  agg.send(net::encode_aggregate_subscribe(sub));
+  auto agg_frame = agg.next_frame();
+  ASSERT_TRUE(agg_frame.has_value());
+  const auto agg_reply =
+      net::decode_aggregate_subscribe_reply(agg_frame->payload);
+  EXPECT_FALSE(agg_reply.accepted);
+  EXPECT_NE(agg_reply.message.find("sampling session"), std::string::npos)
+      << agg_reply.message;
+
+  RawConn resumed(h.port());
+  resumed.send(net::encode_hello_request(raw_hello(token, 0)));
+  auto resumed_frame = resumed.next_frame();
+  ASSERT_TRUE(resumed_frame.has_value());
+  EXPECT_TRUE(net::decode_hello_reply(resumed_frame->payload).resumed);
+
+  net::Client observer;
+  observer.connect("127.0.0.1", h.port());
+  ASSERT_TRUE(observer.hello({"observer", "hpc", 2, 1}).accepted);
+  EXPECT_EQ(observer.stats().value("resume_rejected"), 3u);
+}
+
 TEST(NetResume, SessionTokensAreUniqueAndNonZero) {
   Harness h(core::MonitorSource::from_bytes(bundle()), test_config());
   std::set<std::uint64_t> tokens;
