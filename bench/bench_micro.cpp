@@ -295,31 +295,42 @@ void BM_CoordinatedDecisionMasked(benchmark::State& state) {
 }
 BENCHMARK(BM_CoordinatedDecisionMasked);
 
-void BM_Crc32(benchmark::State& state) {
-  // The v2 frame checksum over a frame body (header + payload, before its
-  // trailer). Arg 0: a 36-byte DECISION frame (32 B checksummed); Arg
-  // N > 0: an N-tick SAMPLE_BATCH at 2 tiers x 20 metrics (1 tick: 354 B,
-  // 64 ticks: 21018 B).
-  const auto ticks = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint8_t> frame;
-  if (ticks == 0) {
-    frame = net::encode_decision(net::DecisionFrame{});
-  } else {
-    net::SampleBatch batch;
-    batch.batch_seq = 1;
-    batch.ticks.resize(ticks);
-    for (auto& tick : batch.ticks)
-      tick.tiers.assign(2, net::TierSlot{true, std::vector<double>(20, 0.5)});
-    frame = net::encode_sample_batch(batch);
-  }
+// The v2 frame checksum's input: a frame body (header + payload, before
+// its trailer). ticks 0: a 36-byte DECISION frame (32 B checksummed);
+// ticks N > 0: an N-tick SAMPLE_BATCH at 2 tiers x 20 metrics (1 tick:
+// 354 B, 64 ticks: 21018 B).
+std::vector<std::uint8_t> crc_bench_frame(std::size_t ticks) {
+  if (ticks == 0) return net::encode_decision(net::DecisionFrame{});
+  net::SampleBatch batch;
+  batch.batch_seq = 1;
+  batch.ticks.resize(ticks);
+  for (auto& tick : batch.ticks)
+    tick.tiers.assign(2, net::TierSlot{true, std::vector<double>(20, 0.5)});
+  return net::encode_sample_batch(batch);
+}
+
+template <std::uint32_t (*Crc)(std::span<const std::uint8_t>) noexcept>
+void run_crc_bench(benchmark::State& state) {
+  const std::vector<std::uint8_t> frame =
+      crc_bench_frame(static_cast<std::size_t>(state.range(0)));
   const std::span<const std::uint8_t> body(frame.data(),
                                            frame.size() - net::kCrcSize);
-  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(body));
+  for (auto _ : state) benchmark::DoNotOptimize(Crc(body));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(body.size()));
   state.SetLabel(std::to_string(body.size()) + " B");
 }
+
+// net::crc32 as the wire uses it (carry-less folding where the CPU has
+// PCLMULQDQ) against the slicing-by-8 fallback on the same frames:
+//   bench_micro --benchmark_filter=BM_Crc32
+void BM_Crc32(benchmark::State& state) { run_crc_bench<net::crc32>(state); }
 BENCHMARK(BM_Crc32)->Arg(0)->Arg(1)->Arg(64);
+
+void BM_Crc32Portable(benchmark::State& state) {
+  run_crc_bench<net::crc32_portable>(state);
+}
+BENCHMARK(BM_Crc32Portable)->Arg(0)->Arg(1)->Arg(64);
 
 }  // namespace
 

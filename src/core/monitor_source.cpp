@@ -24,22 +24,24 @@ std::string read_file(const std::string& path) {
 
 // Validation = a full parse. Throws std::runtime_error on anything that
 // load_monitor rejects (truncation, corruption, hostile counts).
-void validate_bundle(const std::string& bytes) {
+CapacityMonitor parse_bundle(const std::string& bytes) {
   std::istringstream is(bytes);
-  (void)load_monitor(is);
+  return load_monitor(is);
 }
 
 }  // namespace
 
 MonitorSource::MonitorSource(std::string path, std::string bytes)
     : path_(std::move(path)) {
-  validate_bundle(bytes);
+  kept_.emplace(parse_bundle(bytes));
   bytes_ = std::make_shared<const std::string>(std::move(bytes));
 }
 
 MonitorSource::MonitorSource(MonitorSource&& other) noexcept {
   util::MutexLock lock(&other.mu_);
   bytes_ = std::move(other.bytes_);
+  kept_ = std::move(other.kept_);
+  other.kept_.reset();
   version_ = other.version_;
   path_ = std::move(other.path_);
 }
@@ -62,6 +64,11 @@ CapacityMonitor MonitorSource::instantiate() const {
   std::shared_ptr<const std::string> snapshot;
   {
     util::MutexLock lock(&mu_);
+    if (kept_) {
+      CapacityMonitor monitor = std::move(*kept_);
+      kept_.reset();
+      return monitor;
+    }
     snapshot = bytes_;
   }
   // Parse outside the lock: loading is the expensive part and the
@@ -80,17 +87,19 @@ void MonitorSource::swap_from_file(const std::string& path) {
     throw std::runtime_error(
         "MonitorSource: no path to reload (in-memory source)");
   std::string bytes = read_file(target);
-  validate_bundle(bytes);
+  CapacityMonitor parsed = parse_bundle(bytes);
   util::MutexLock lock(&mu_);
   bytes_ = std::make_shared<const std::string>(std::move(bytes));
+  kept_.emplace(std::move(parsed));
   path_ = std::move(target);
   ++version_;
 }
 
 void MonitorSource::swap_bytes(std::string bytes) {
-  validate_bundle(bytes);
+  CapacityMonitor parsed = parse_bundle(bytes);
   util::MutexLock lock(&mu_);
   bytes_ = std::make_shared<const std::string>(std::move(bytes));
+  kept_.emplace(std::move(parsed));
   ++version_;
 }
 

@@ -9,10 +9,13 @@
 // format) and hands each new session its own freshly loaded instance:
 //
 //   * instantiate() parses the current bundle into an independent
-//     CapacityMonitor (history reset) — one per agent connection;
+//     CapacityMonitor (history reset) — one per agent connection. The
+//     parse that validated the bundle is kept and handed out (moved) by
+//     the first instantiate() after it, so creating a source and
+//     instantiating it parses once, not twice;
 //   * swap_from_file()/swap_bytes() validate a replacement bundle by
-//     fully loading it first, then atomically publish it; on any error
-//     the current model stays untouched;
+//     fully loading it first, then atomically publish it together with
+//     that parse; on any error the current model stays untouched;
 //   * version() increments on every successful swap, so agents can tell
 //     which model generation their session was built from.
 //
@@ -23,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/pipeline.h"
@@ -45,7 +49,8 @@ class MonitorSource {
   MonitorSource(const MonitorSource&) = delete;
   MonitorSource& operator=(const MonitorSource&) = delete;
 
-  // A fresh, independent monitor parsed from the current bundle.
+  // A fresh, independent monitor parsed from the current bundle: the kept
+  // validation parse if no earlier call has taken it, else a new parse.
   CapacityMonitor instantiate() const;
 
   // Replaces the bundle. The replacement is fully load_monitor-ed before
@@ -71,6 +76,8 @@ class MonitorSource {
 
   mutable util::Mutex mu_;
   std::shared_ptr<const std::string> bytes_ HPCAP_GUARDED_BY(mu_);
+  // The parse that validated bytes_, until instantiate() takes it.
+  mutable std::optional<CapacityMonitor> kept_ HPCAP_GUARDED_BY(mu_);
   std::uint32_t version_ HPCAP_GUARDED_BY(mu_) = 1;
   // Origin file; "" for in-memory sources.
   std::string path_ HPCAP_GUARDED_BY(mu_);

@@ -131,10 +131,17 @@ class ProtocolError : public std::runtime_error {
 
 // CRC-32 (IEEE 802.3 / zlib polynomial, reflected) over `data`. The
 // frame trailer; exposed so tests and the chaos harness can forge or
-// verify frames byte-for-byte. Computed slicing-by-8 (eight compile-time
-// tables, 8 bytes per step) in portable C++: no ISA flags or CPU dispatch,
-// same polynomial, init and final xor as the byte-at-a-time definition.
+// verify frames byte-for-byte. On x86-64 CPUs with PCLMULQDQ and SSE4.1
+// (detected once at startup; no build flag) the 16-byte-multiple bulk of
+// any input of 64 bytes or more is folded with carry-less multiplies and
+// the last 0-15 bytes go through slicing-by-8; elsewhere it is all
+// slicing-by-8. Both give the same value, so the wire bytes do not depend
+// on the CPU.
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
+// The same CRC-32 computed slicing-by-8 only (eight compile-time tables,
+// 8 bytes per step, portable C++): the fallback, and the oracle the
+// folded kernel is tested and benchmarked against.
+std::uint32_t crc32_portable(std::span<const std::uint8_t> data) noexcept;
 
 struct FrameHeader {
   FrameType type = FrameType::kHello;

@@ -90,22 +90,34 @@ struct SessionState {
 
   // Exactly-once state: highest batch sequence applied (cumulative —
   // anything at or below it is a replay and is deduped), plus the
-  // retained-DECISION ring for resume replay. replay_first_window is the
-  // window_index of replay.front().
+  // retained-DECISION ring for resume replay: `replay` is reserved to the
+  // ring's capacity at HELLO, grows to it, then is overwritten in place
+  // from replay_head (the oldest retained decision).
+  // replay_first_window is the window_index of that oldest decision.
   std::uint64_t last_applied_seq = 0;
-  std::deque<DecisionFrame> replay;
+  std::vector<DecisionFrame> replay;
+  std::size_t replay_head = 0;
   std::uint32_t replay_first_window = 0;
   double detached_at = 0.0;  // linger clock; set when parked
 
   // Retains a decided window for resume replay, keeping the newest
   // `capacity` of them.
+  // hpcap-lint: hot-path
   void record(const DecisionFrame& d, std::size_t capacity) {
-    replay.push_back(d);
-    if (replay.size() > capacity) {
-      replay.pop_front();
+    if (replay.size() < capacity) {
+      // Within the capacity reserved at HELLO: no reallocation.
+      replay.push_back(d);  // hpcap-lint: allow(hot-path-alloc)
+    } else {
+      replay[replay_head] = d;
+      if (++replay_head == replay.size()) replay_head = 0;
       ++replay_first_window;
     }
     window_index = d.window_index + 1;
+  }
+
+  // The i-th oldest retained decision (window replay_first_window + i).
+  const DecisionFrame& replayed(std::size_t i) const {
+    return replay[(replay_head + i) % replay.size()];
   }
 };
 
@@ -791,6 +803,7 @@ void Server::handle_hello(Connection& c, const HelloRequest& req) {
   }
   auto session = std::make_unique<SessionState>();
   SessionState& s = *session;
+  s.replay.reserve(cfg_.decision_replay);
   try {
     s.pipeline.emplace(source_.instantiate(),
                        core::StreamPipeline::Options{
@@ -934,6 +947,7 @@ void Server::handle_agg_subscribe(Connection& c,
 
   auto session = std::make_unique<SessionState>();
   SessionState& s = *session;
+  s.replay.reserve(cfg_.decision_replay);
   s.token = group_->next_token();
   std::size_t num_synopses = 0;
   std::optional<std::string> why;
@@ -1185,7 +1199,7 @@ void Server::feed_replay(Connection& c) {
     const std::size_t idx =
         static_cast<std::size_t>(c.replay_next - s.replay_first_window);
     auto buf = take_spare(c);
-    encode_decision_into(s.replay[idx], buf);
+    encode_decision_into(s.replayed(idx), buf);
     enqueue(c, FrameType::kDecision, std::move(buf));
     ++c.replay_next;
   }

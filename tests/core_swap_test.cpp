@@ -85,6 +85,68 @@ TEST(MonitorSource, VersionStartsAtOneAndBumpsPerSwap) {
   EXPECT_EQ(source.version(), 3u);
 }
 
+core::CapacityMonitor load_bundle(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return core::load_monitor(is);
+}
+
+std::string save_bundle(const core::CapacityMonitor& monitor) {
+  std::ostringstream os;
+  core::save_monitor(os, monitor);
+  return os.str();
+}
+
+// The first instantiate() hands out the parse that validated the bundle
+// instead of parsing again; it must be indistinguishable from a fresh
+// load_monitor, decision by decision, and so must every later parse.
+TEST(MonitorSource, KeptParseDecidesLikeAFreshLoad) {
+  const auto source = core::MonitorSource::from_bytes(bundle_one());
+  core::CapacityMonitor kept = source.instantiate();
+  core::CapacityMonitor reparsed = source.instantiate();
+  core::CapacityMonitor fresh = load_bundle(bundle_one());
+  EXPECT_EQ(save_bundle(kept), bundle_one());
+  Rng rng(5);
+  std::vector<std::vector<double>> rows(2, std::vector<double>(4));
+  for (int i = 0; i < 200; ++i) {
+    const double level = (i / 7) % 2 ? 1.0 : 0.0;
+    for (auto& row : rows)
+      row = {level + rng.normal(0.0, 0.4), rng.uniform(),
+             level + rng.normal(0.0, 0.5), rng.uniform()};
+    const auto want = fresh.observe(rows);
+    for (core::CapacityMonitor* m : {&kept, &reparsed}) {
+      const auto got = m->observe(rows);
+      ASSERT_EQ(got.state, want.state) << "window " << i;
+      ASSERT_EQ(got.confident, want.confident) << "window " << i;
+      ASSERT_EQ(got.hc, want.hc) << "window " << i;
+      ASSERT_EQ(got.bottleneck_tier, want.bottleneck_tier) << "window " << i;
+    }
+  }
+}
+
+// A swap replaces the kept parse together with the bytes: the next
+// instantiate() must build the new model, never the stale kept one.
+TEST(MonitorSource, SwapReplacesTheKeptParse) {
+  auto source = core::MonitorSource::from_bytes(bundle_one());
+  source.swap_bytes(bundle_two());
+  EXPECT_EQ(save_bundle(source.instantiate()), bundle_two());
+  EXPECT_EQ(save_bundle(source.instantiate()), bundle_two());
+
+  const std::string path = "monitor_source_kept_parse.tmp";
+  {
+    std::ofstream f(path);
+    f << bundle_two();
+  }
+  auto from_file = core::MonitorSource::from_bytes(bundle_one());
+  from_file.swap_from_file(path);
+  EXPECT_EQ(save_bundle(from_file.instantiate()), bundle_two());
+  std::remove(path.c_str());
+
+  // A failed swap keeps the current bytes and their kept parse.
+  auto failed = core::MonitorSource::from_bytes(bundle_two());
+  EXPECT_THROW(failed.swap_bytes("garbage"), std::runtime_error);
+  EXPECT_EQ(save_bundle(failed.instantiate()), bundle_two());
+}
+
 TEST(MonitorSource, CorruptSwapThrowsAndKeepsCurrentModel) {
   auto source = core::MonitorSource::from_bytes(bundle_one());
   const auto before = source.bytes();

@@ -51,10 +51,12 @@ TEST(NetProtocol, Crc32MatchesReferenceCheckValue) {
   const Bytes nine = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(nine), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0x00000000u);
+  EXPECT_EQ(crc32_portable(nine), 0xCBF43926u);
+  EXPECT_EQ(crc32_portable({}), 0x00000000u);
 }
 
-// Bit-at-a-time CRC-32 straight from the polynomial: the definition the
-// table-driven kernel must reproduce.
+// Bit-at-a-time CRC-32 straight from the polynomial: the definition both
+// kernels (carry-less folding and slicing-by-8) must reproduce.
 std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (const std::uint8_t b : data) {
@@ -67,20 +69,47 @@ std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
 
 TEST(NetProtocol, Crc32MatchesBitwiseReference) {
   // Every length 0-300 at every start offset 0-7 covers whole 8-byte
-  // blocks, each 0-7 byte tail, and unaligned starts.
+  // blocks, each 0-15 byte tail after the folded bulk, one to several
+  // 64-byte folds, and unaligned starts; the 64 KiB buffer runs the
+  // four-lane fold for a thousand steps.
   std::mt19937 rng(20081);
   Bytes buf(300 + 8);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
   for (std::size_t off = 0; off < 8; ++off) {
     for (std::size_t len = 0; len <= 300; ++len) {
       const std::span<const std::uint8_t> s(buf.data() + off, len);
-      ASSERT_EQ(crc32(s), crc32_bitwise(s))
+      const std::uint32_t want = crc32_bitwise(s);
+      ASSERT_EQ(crc32(s), want) << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32_portable(s), want)
           << "offset " << off << " length " << len;
     }
   }
   Bytes big(64 * 1024);
   for (auto& b : big) b = static_cast<std::uint8_t>(rng());
-  EXPECT_EQ(crc32(big), crc32_bitwise(big));
+  const std::uint32_t want = crc32_bitwise(big);
+  EXPECT_EQ(crc32(big), want);
+  EXPECT_EQ(crc32_portable(big), want);
+}
+
+TEST(NetProtocol, Crc32MatchesBitwiseReferenceAtKernelEdges) {
+  // Lengths either side of each edge of the folded kernel: the 64-byte
+  // minimum (63/64/65), one 64-byte block plus a 16-byte fold (79/80/81)
+  // and the second four-lane step (127/128/129), plus the same around
+  // 4 KiB, at every start offset 0-7.
+  std::mt19937 rng(7);
+  Bytes buf(4096 + 64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (const std::size_t edge : {64u, 80u, 128u, 4096u}) {
+    for (std::size_t len = edge - 1; len <= edge + 1; ++len) {
+      for (std::size_t off = 0; off < 8; ++off) {
+        const std::span<const std::uint8_t> s(buf.data() + off, len);
+        const std::uint32_t want = crc32_bitwise(s);
+        EXPECT_EQ(crc32(s), want) << "offset " << off << " length " << len;
+        EXPECT_EQ(crc32_portable(s), want)
+            << "offset " << off << " length " << len;
+      }
+    }
+  }
 }
 
 TEST(NetProtocol, GoldenHelloRequestBytesV2) {
