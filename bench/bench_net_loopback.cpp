@@ -1,36 +1,16 @@
-// Wire-path overhead of hpcapd: throughput and decision latency of the
-// full loopback stack (encode -> TCP -> FrameAssembler -> aggregation ->
-// observe_masked -> DECISION -> decode) versus the in-process pipeline.
-//
-// Two phases:
-//   * throughput — one agent streams the same tick stream at several
-//     frame granularities (batch_ticks = ticks per SAMPLE_BATCH frame);
-//     reported as per-tier samples/sec per config. The monitor's reason
-//     to exist is negligible overhead, so the wire must sustain far more
-//     than the 1 Hz x a-few-tiers a real site produces (shape target:
-//     >= 50k samples/sec at the largest batch). Every config's DECISION
-//     stream is checked field-for-field against an in-process reference
-//     that drives the identical aggregation + validation pipeline
-//     through the *scalar* observe_masked loop — batching, at both the
-//     wire and the observe layer, must not change a single decision
-//     (identical_output per config in the JSON).
-//   * latency — window = 1, one tick per round trip; the distribution of
-//     send-to-decision times gives the added decision delay (p50/p99).
-//
-// Two fleet-scale dimensions ride along (ISSUE 8), each checked for
-// bit-identical output like every other config:
-//   * reactors — the same concurrent-agent load against a ShardedServer
-//     with 1 and 2 reactors. The 2-reactor speedup claim only means
-//     something with >= 2 hardware threads; on smaller hosts the runs
-//     are still recorded but the JSON marks the scaling comparison
-//     skipped (and stamps the host so readers can tell).
-//   * fanin — a 2-level aggregation tree (parent + `fanin` leaves, each
-//     leaf streaming its slice of the fleet GPV) timed end to end; the
-//     fleet decision stream must equal the in-process reference.
+// Fleet-tree wire bench: end-to-end windows/sec of a 2-level
+// aggregation tree (parent + `fanin` leaves, each leaf streaming its slice
+// of the fleet GPV over loopback) for fanin 1 and 2, with the fleet
+// decision stream checked field-for-field against an in-process
+// reference that drives the identical aggregation + validation pipeline
+// through the *scalar* observe_masked loop (identical_output per config
+// in the JSON). The single-daemon wire path (throughput, decision latency,
+// 1 vs 2 reactors) is measured by perfbench's wire workloads.
 //
 // Usage: bench_net_loopback [--json PATH] [--ticks N]
 //   --json PATH   output record (default: BENCH_net.json)
-//   --ticks N     throughput-phase sampling ticks (default: 60000)
+//   --ticks N     sampling ticks per leaf agent (default: 60000)
+// Exits 1 unless every config is bit-identical to the reference.
 #include <sys/utsname.h>
 
 #include <algorithm>
@@ -55,7 +35,6 @@
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/server.h"
-#include "net/sharded.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -150,23 +129,6 @@ struct Daemon {
   }
 };
 
-net::Client connect_agent(const Daemon& daemon, std::uint16_t window) {
-  net::Client client;
-  client.connect("127.0.0.1", daemon.server->port());
-  net::HelloRequest hello;
-  hello.agent = "bench";
-  hello.level = "hpc";
-  hello.num_tiers = 2;
-  hello.window = window;
-  const auto reply = client.hello(hello);
-  if (!reply.accepted) {
-    std::fprintf(stderr, "bench_net_loopback: hello rejected: %s\n",
-                 reply.message.c_str());
-    std::exit(1);
-  }
-  return client;
-}
-
 // The in-process reference pipeline: the same bundle instantiated
 // locally and driven tick by tick through the daemon's aggregation +
 // validation stages (same ServerConfig knobs) but the scalar
@@ -233,128 +195,6 @@ bool same_decision(const net::DecisionFrame& a, const net::DecisionFrame& b) {
          a.confident == b.confident && a.degraded == b.degraded &&
          a.hc == b.hc && a.bottleneck_tier == b.bottleneck_tier &&
          a.staleness == b.staleness;
-}
-
-struct ThroughputResult {
-  int batch_ticks = 0;
-  double samples_per_sec = 0.0;
-  std::size_t decisions = 0;
-  bool identical_output = false;
-};
-
-// Streams `stream` to a fresh agent connection in frames of `batch_ticks`
-// ticks, timing send-to-last-decision, and verifies the decision stream
-// against the reference. Frame assembly (tick copies) happens before the
-// clock starts — the timed region is encode + TCP + daemon + decode.
-ThroughputResult run_throughput(
-    const Daemon& daemon, const std::vector<net::Tick>& stream,
-    int batch_ticks, std::uint16_t window, int kTiers,
-    const std::vector<net::DecisionFrame>& reference) {
-  const int ticks = static_cast<int>(stream.size());
-  std::vector<net::SampleBatch> frames;
-  for (int start = 0; start < ticks; start += batch_ticks) {
-    net::SampleBatch batch;
-    batch.first_tick = static_cast<std::uint32_t>(start);
-    const int end = std::min(start + batch_ticks, ticks);
-    batch.ticks.assign(stream.begin() + start, stream.begin() + end);
-    frames.push_back(std::move(batch));
-  }
-  net::Client agent = connect_agent(daemon, window);
-  std::vector<net::DecisionFrame> got;
-  got.reserve(reference.size());
-  const auto t0 = Clock::now();
-  for (net::SampleBatch& batch : frames) {
-    agent.send_batch(batch);
-    for (auto& d : agent.drain_decisions()) got.push_back(d);
-  }
-  while (got.size() < reference.size()) got.push_back(agent.next_decision());
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-
-  ThroughputResult r;
-  r.batch_ticks = batch_ticks;
-  r.samples_per_sec = static_cast<double>(ticks) * kTiers / seconds;
-  r.decisions = got.size();
-  r.identical_output = got.size() == reference.size();
-  for (std::size_t i = 0; r.identical_output && i < got.size(); ++i)
-    r.identical_output = same_decision(got[i], reference[i]);
-  return r;
-}
-
-// --- fleet dimensions (ISSUE 8) -----------------------------------------
-
-struct ReactorResult {
-  std::size_t reactors = 0;
-  double samples_per_sec = 0.0;
-  bool identical_output = false;
-};
-
-// The throughput workload against a ShardedServer: `agents` concurrent
-// connections each streaming the full stream at headline granularity.
-// Hand-off round-robin spreads the sessions evenly across the reactors,
-// so a 2-reactor run genuinely exercises both loops; every session's
-// decision stream must equal the reference (per-session bit-identity is
-// the sharding contract, regardless of which reactor owns the
-// connection).
-ReactorResult run_reactors(const std::string& bundle, std::size_t reactors,
-                           int agents, const std::vector<net::Tick>& stream,
-                           int batch_ticks, std::uint16_t window,
-                           const std::vector<net::DecisionFrame>& reference) {
-  auto source = core::MonitorSource::from_bytes(bundle);
-  net::ServerConfig cfg;
-  cfg.num_tiers = 2;
-  cfg.reactors = reactors;
-  net::ShardedServer server(source, cfg);
-  server.start();
-  std::thread daemon([&server] { server.join(); });
-
-  const int ticks = static_cast<int>(stream.size());
-  std::atomic<int> diverged{0};
-  std::vector<std::thread> pool;
-  const auto t0 = Clock::now();
-  for (int a = 0; a < agents; ++a) {
-    pool.emplace_back([&, a] {
-      net::Client agent;
-      agent.connect("127.0.0.1", server.port());
-      net::HelloRequest hello;
-      hello.agent = "bench-shard-" + std::to_string(a);
-      hello.level = "hpc";
-      hello.num_tiers = 2;
-      hello.window = window;
-      if (!agent.hello(hello).accepted) {
-        ++diverged;
-        return;
-      }
-      std::vector<net::DecisionFrame> got;
-      got.reserve(reference.size());
-      for (int start = 0; start < ticks; start += batch_ticks) {
-        net::SampleBatch batch;
-        batch.first_tick = static_cast<std::uint32_t>(start);
-        const int end = std::min(start + batch_ticks, ticks);
-        batch.ticks.assign(stream.begin() + start, stream.begin() + end);
-        agent.send_batch(batch);
-        for (auto& d : agent.drain_decisions()) got.push_back(d);
-      }
-      while (got.size() < reference.size())
-        got.push_back(agent.next_decision());
-      bool same = got.size() == reference.size();
-      for (std::size_t i = 0; same && i < got.size(); ++i)
-        same = same_decision(got[i], reference[i]);
-      if (!same) ++diverged;
-    });
-  }
-  for (auto& t : pool) t.join();
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  server.begin_shutdown();
-  daemon.join();
-
-  ReactorResult r;
-  r.reactors = reactors;
-  r.samples_per_sec =
-      static_cast<double>(ticks) * 2 * agents / seconds;
-  r.identical_output = diverged.load() == 0;
-  return r;
 }
 
 struct FaninResult {
@@ -507,14 +347,6 @@ int main(int argc, char** argv) {
 
   std::printf("training bench model...\n");
   const std::string bundle = make_bundle();
-  Daemon daemon(bundle);
-
-  // --- throughput phase --------------------------------------------------
-  // Pre-encode nothing: tick construction is part of the agent's cost in
-  // production too, but keep it out of the timed region to isolate the
-  // wire + daemon pipeline. Each batch_ticks config replays the same
-  // stream over a fresh connection (fresh per-connection monitor), so
-  // the decision streams are directly comparable to the reference.
   Rng rng(101);
   std::vector<net::Tick> stream;
   stream.reserve(static_cast<std::size_t>(ticks));
@@ -522,51 +354,18 @@ int main(int argc, char** argv) {
     stream.push_back(make_tick(kTiers, (i / 200) % 2, rng));
 
   std::printf("computing in-process reference decisions...\n");
-  const auto r0 = Clock::now();
   const std::vector<net::DecisionFrame> reference =
       reference_decisions(bundle, stream, kTiers, kWindow);
-  std::printf("reference: %.0f samples/sec in-process\n",
-              static_cast<double>(ticks) * kTiers /
-                  std::chrono::duration<double>(Clock::now() - r0).count());
 
-  const int batch_sweep[] = {1, 16, kBatch};
-  std::vector<ThroughputResult> configs;
-  for (const int b : batch_sweep)
-    configs.push_back(
-        run_throughput(daemon, stream, b, kWindow, kTiers, reference));
-  const ThroughputResult& headline = configs.back();
-  const double samples_per_sec = headline.samples_per_sec;
-  const std::size_t decisions = headline.decisions;
+  std::printf("fanin sweep (2-level aggregation tree)...\n");
+  std::vector<FaninResult> fanin_results;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}})
+    fanin_results.push_back(
+        run_fanin(bundle, n, stream, kBatch, kWindow, reference));
   bool identical_all = true;
-  for (const auto& r : configs) identical_all = identical_all && r.identical_output;
+  for (const auto& r : fanin_results)
+    identical_all = identical_all && r.identical_output;
 
-  // --- latency phase -----------------------------------------------------
-  // window = 1: every tick produces a decision, so one send + one receive
-  // is a full decision round trip.
-  net::Client probe = connect_agent(daemon, 1);
-  constexpr int kProbes = 2000;
-  std::vector<double> rtt_us;
-  rtt_us.reserve(kProbes);
-  for (int i = 0; i < kProbes; ++i) {
-    net::SampleBatch batch;
-    batch.first_tick = static_cast<std::uint32_t>(i);
-    batch.ticks.push_back(stream[static_cast<std::size_t>(i)]);
-    const auto s0 = Clock::now();
-    probe.send_batch(batch);
-    (void)probe.next_decision();
-    rtt_us.push_back(
-        std::chrono::duration<double, std::micro>(Clock::now() - s0).count());
-  }
-  std::sort(rtt_us.begin(), rtt_us.end());
-  const auto quantile = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(rtt_us.size() - 1));
-    return rtt_us[idx];
-  };
-  const double p50 = quantile(0.50);
-  const double p99 = quantile(0.99);
-
-  // --- fleet dimensions (ISSUE 8) ----------------------------------------
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::string kernel = "unknown";
   {
@@ -574,64 +373,14 @@ int main(int argc, char** argv) {
     if (::uname(&uts) == 0)
       kernel = std::string(uts.sysname) + " " + uts.release;
   }
-  // A 2-reactor speedup over 1 reactor only means something with >= 2
-  // hardware threads; on smaller hosts both runs are still recorded
-  // (correctness holds everywhere) but the scaling comparison is marked
-  // skipped so a flat ratio is not read as a regression.
-  const bool reactor_scaling_measured = hardware_threads >= 2;
-  constexpr int kShardAgents = 2;
-  std::printf("reactors sweep (%d concurrent agents)...\n", kShardAgents);
-  std::vector<ReactorResult> reactor_results;
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}})
-    reactor_results.push_back(run_reactors(bundle, n, kShardAgents, stream,
-                                           kBatch, kWindow, reference));
-  std::printf("fanin sweep (2-level aggregation tree)...\n");
-  std::vector<FaninResult> fanin_results;
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}})
-    fanin_results.push_back(
-        run_fanin(bundle, n, stream, kBatch, kWindow, reference));
-  for (const auto& r : reactor_results)
-    identical_all = identical_all && r.identical_output;
+  TextTable table("hpcapd aggregation tree over loopback");
+  table.set_header({"fanin", "fleet windows/sec", "output"});
   for (const auto& r : fanin_results)
-    identical_all = identical_all && r.identical_output;
-
-  const bool met = samples_per_sec >= 50000.0 && identical_all;
-  TextTable table("hpcapd loopback wire-path overhead");
-  table.set_header({"phase", "metric", "value"});
-  table.add_row({"throughput", "sampling ticks", std::to_string(ticks)});
-  for (const auto& r : configs)
-    table.add_row({"throughput",
-                   "samples/sec @ batch_ticks=" + std::to_string(r.batch_ticks),
-                   TextTable::num(r.samples_per_sec, 0) +
-                       (r.identical_output ? "  (output identical)"
-                                           : "  (OUTPUT DIVERGED)")});
-  table.add_row({"throughput", "decisions", std::to_string(decisions)});
-  table.add_separator();
-  table.add_row({"latency", "decision round trips",
-                 std::to_string(kProbes)});
-  table.add_row({"latency", "p50 (us)", TextTable::num(p50, 1)});
-  table.add_row({"latency", "p99 (us)", TextTable::num(p99, 1)});
-  table.add_separator();
-  for (const auto& r : reactor_results)
-    table.add_row({"reactors",
-                   "samples/sec @ reactors=" + std::to_string(r.reactors),
-                   TextTable::num(r.samples_per_sec, 0) +
-                       (r.identical_output ? "  (output identical)"
-                                           : "  (OUTPUT DIVERGED)")});
-  table.add_row({"reactors", "scaling comparison",
-                 reactor_scaling_measured
-                     ? "measured"
-                     : "skipped (" + std::to_string(hardware_threads) +
-                           " hardware thread)"});
-  for (const auto& r : fanin_results)
-    table.add_row({"fanin",
-                   "fleet windows/sec @ fanin=" + std::to_string(r.fanin),
-                   TextTable::num(r.windows_per_sec, 0) +
-                       (r.identical_output ? "  (output identical)"
-                                           : "  (OUTPUT DIVERGED)")});
-  table.add_note("shape target: >= 50k samples/sec over loopback");
-  table.add_note(
-      "latency = send_batch + aggregate + observe_masked + DECISION rtt");
+    table.add_row({std::to_string(r.fanin),
+                   TextTable::num(r.windows_per_sec, 0),
+                   r.identical_output ? "identical" : "DIVERGED"});
+  table.add_note("sampling ticks per leaf agent: " + std::to_string(ticks) +
+                 ", decisions: " + std::to_string(reference.size()));
   table.add_note("host: " + kernel + ", " +
                  std::to_string(hardware_threads) + " hardware thread(s)");
   std::printf("%s\n", table.render().c_str());
@@ -643,36 +392,8 @@ int main(int argc, char** argv) {
                  "  \"tiers\": %d,\n"
                  "  \"window\": %u,\n"
                  "  \"ticks\": %d,\n"
-                 "  \"configs\": [\n",
-                 kTiers, kWindow, ticks);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      const auto& r = configs[i];
-      std::fprintf(f,
-                   "    {\"batch_ticks\": %d, \"samples_per_sec\": %.0f, "
-                   "\"identical_output\": %s}%s\n",
-                   r.batch_ticks, r.samples_per_sec,
-                   r.identical_output ? "true" : "false",
-                   i + 1 < configs.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"reactors\": [\n");
-    for (std::size_t i = 0; i < reactor_results.size(); ++i) {
-      const auto& r = reactor_results[i];
-      std::fprintf(f,
-                   "    {\"reactors\": %zu, \"samples_per_sec\": %.0f, "
-                   "\"identical_output\": %s}%s\n",
-                   r.reactors, r.samples_per_sec,
-                   r.identical_output ? "true" : "false",
-                   i + 1 < reactor_results.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"reactor_scaling\": \"%s\",\n"
                  "  \"fanin\": [\n",
-                 reactor_scaling_measured
-                     ? "measured"
-                     : "skipped: fewer than 2 hardware threads");
+                 kTiers, kWindow, ticks);
     for (std::size_t i = 0; i < fanin_results.size(); ++i) {
       const auto& r = fanin_results[i];
       std::fprintf(f,
@@ -686,19 +407,13 @@ int main(int argc, char** argv) {
                  "  ],\n"
                  "  \"host\": {\"hardware_threads\": %u, "
                  "\"kernel\": \"%s\"},\n"
-                 "  \"samples_per_sec\": %.0f,\n"
-                 "  \"decisions\": %llu,\n"
-                 "  \"identical_output\": %s,\n"
-                 "  \"latency_p50_us\": %.1f,\n"
-                 "  \"latency_p99_us\": %.1f,\n"
-                 "  \"throughput_target_met\": %s\n"
+                 "  \"decisions\": %zu,\n"
+                 "  \"identical_output\": %s\n"
                  "}\n",
-                 hardware_threads, kernel.c_str(), samples_per_sec,
-                 static_cast<unsigned long long>(decisions),
-                 identical_all ? "true" : "false", p50, p99,
-                 met ? "true" : "false");
+                 hardware_threads, kernel.c_str(), reference.size(),
+                 identical_all ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return met ? 0 : 1;
+  return identical_all ? 0 : 1;
 }

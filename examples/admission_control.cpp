@@ -6,8 +6,10 @@
 // capacity) are simulated:
 //   1. unprotected — every request is admitted;
 //   2. protected — a CapacityMonitor watches the HPC metrics of both
-//      tiers each 30 s window, and an AIMD throttle sheds load whenever
-//      the coordinated predictor says "overloaded".
+//      tiers each 30 s window, and an AIMD cap on the admitted rate
+//      (ctrl::CapAdmissionController) sheds load whenever the coordinated
+//      predictor says "overloaded"; each request passes the front door
+//      with probability admit_fraction(offered rate).
 // The protected run should keep response times near the healthy baseline
 // at the cost of rejecting part of the surge — the textbook overload-
 // prevention trade.
@@ -17,7 +19,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/admission.h"
+#include "ctrl/admission.h"
 #include "testbed/experiment.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -38,17 +40,19 @@ ScenarioResult run_scenario(const testbed::TestbedConfig& cfg,
                             const tpcw::WorkloadSchedule& schedule,
                             core::CapacityMonitor* monitor) {
   testbed::Testbed bed(cfg);
-  core::AdmissionController throttle;
+  ctrl::CapAdmissionController throttle;
+  double fraction = 1.0;  // admit_fraction of the last window
   Rng gate_rng(cfg.seed ^ 0xAD417);
 
   if (monitor) {
     bed.set_admission_gate([&](const sim::Request&) {
-      return throttle.admit(gate_rng);
+      return gate_rng.bernoulli(fraction);
     });
     bed.set_instance_observer([&](const testbed::InstanceRecord& rec) {
       const auto decision =
           monitor->observe(testbed::monitor_rows(rec, "hpc"));
-      throttle.on_decision(decision.state == 1);
+      throttle.on_window(decision, rec.offered_rate * fraction);
+      fraction = throttle.admit_fraction(rec.offered_rate);
     });
   }
   bed.run(schedule);

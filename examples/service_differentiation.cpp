@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/admission.h"
+#include "ctrl/admission.h"
 #include "testbed/experiment.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -40,24 +40,39 @@ ClassStats run_scenario(const testbed::TestbedConfig& cfg,
                         core::CapacityMonitor& monitor,
                         bool class_aware) {
   testbed::Testbed bed(cfg);
-  core::AdmissionController basic_throttle;
-  core::AdmissionController premium_throttle({0.85, 0.10, 0.30});
+  // Each class runs its own AIMD cap on the site's offered rate and gates
+  // its requests with admit_fraction of that cap. Premium needs three
+  // overload windows to act, backs off more gently and probes back
+  // twice as fast.
+  ctrl::CapAdmissionController basic_throttle;
+  ctrl::CapAdmissionOptions premium_opts;
+  premium_opts.decrease_factor = 0.85;
+  premium_opts.increase_step = 50.0;
+  premium_opts.overload_votes = 3;
+  ctrl::CapAdmissionController premium_throttle(premium_opts);
+  double basic_fraction = 1.0, premium_fraction = 1.0;
   Rng gate_rng(cfg.seed ^ 0xC1A55);
   ClassStats out;
 
   bed.set_admission_gate([&](const sim::Request& req) {
-    auto& throttle = (class_aware && is_premium(req)) ? premium_throttle
-                                                      : basic_throttle;
-    const bool ok = throttle.admit(gate_rng);
+    const double fraction = (class_aware && is_premium(req))
+                                ? premium_fraction
+                                : basic_fraction;
+    const bool ok = gate_rng.bernoulli(fraction);
     if (!ok) ++(is_premium(req) ? out.premium_shed : out.basic_shed);
     return ok;
   });
   bed.set_instance_observer([&](const testbed::InstanceRecord& rec) {
     const auto d = monitor.observe(testbed::monitor_rows(rec, "hpc"));
-    basic_throttle.on_decision(d.state == 1);
+    basic_throttle.on_window(d, rec.offered_rate * basic_fraction);
+    basic_fraction = basic_throttle.admit_fraction(rec.offered_rate);
     // Premium reacts only to *confident* overload: it is the last class
     // to be shed and the first to recover.
-    premium_throttle.on_decision(d.state == 1 && d.confident);
+    auto premium_view = d;
+    premium_view.state = d.state == 1 && d.confident ? 1 : 0;
+    premium_throttle.on_window(premium_view,
+                               rec.offered_rate * premium_fraction);
+    premium_fraction = premium_throttle.admit_fraction(rec.offered_rate);
   });
 
   bed.run(schedule);

@@ -3,13 +3,13 @@
 // measurement-based admission controller in the front-end to regulate
 // the input traffic rate").
 //
-// `core::AdmissionController` throttles with a per-request probability;
-// that is the right gate for moderate closed-loop populations, but an
-// open-loop front door facing a flash crowd needs a *cap*: offered load
-// can be millions of EBs while the site saturates in the thousands, and
-// the controller must shed the difference arithmetically rather than
-// simulate (or worse, admit) every arrival. This controller runs AIMD on
-// an admitted-load cap, keyed off the coordinated predictor's decisions:
+// An open-loop front door facing a flash crowd needs a *cap*: offered
+// load can be millions of EBs while the site saturates in the thousands,
+// and the controller must shed the difference arithmetically rather than
+// simulate (or worse, admit) every arrival. A per-request front door
+// gates each arrival with admit_fraction() instead (the admission_control
+// and service_differentiation examples). This controller runs AIMD on an
+// admitted-load cap, keyed off the coordinated predictor's decisions:
 //
 //   * multiplicative decrease after `overload_votes` consecutive
 //     grounded overload decisions (hysteresis: one noisy window never

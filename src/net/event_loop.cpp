@@ -1,12 +1,8 @@
 #include "net/event_loop.h"
 
 #include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -14,17 +10,12 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-
-#include "util/log.h"
+#include <string>
+#include <utility>
 
 namespace hpcap::net {
 
 namespace {
-
-void set_nonblocking_cloexec(int fd) {
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  ::fcntl(fd, F_SETFD, ::fcntl(fd, F_GETFD, 0) | FD_CLOEXEC);
-}
 
 double monotonic_seconds() {
   return std::chrono::duration<double>(
@@ -32,7 +23,24 @@ double monotonic_seconds() {
       .count();
 }
 
-#if defined(__linux__)
+std::runtime_error sys_error(const char* what, int err) {
+  return std::runtime_error(std::string("EventLoop: ") + what + ": " +
+                            std::strerror(err));
+}
+
+// Closes the fd unless released: a constructor that throws never runs
+// the destructor, so each fd is owned here until construction succeeds.
+struct OwnedFd {
+  explicit OwnedFd(int owned) noexcept : fd(owned) {}
+  OwnedFd(const OwnedFd&) = delete;
+  OwnedFd& operator=(const OwnedFd&) = delete;
+  ~OwnedFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  int release() noexcept { return std::exchange(fd, -1); }
+  int fd;
+};
+
 // The epoll event carries (gen, fd) so a stale kernel event cannot reach
 // a registration that reused the fd number within the same dispatch
 // round: the low 32 bits of the registration stamp ride along and must
@@ -40,130 +48,77 @@ double monotonic_seconds() {
 std::uint64_t pack_event(std::uint64_t gen, int fd) {
   return (gen & 0xffffffffull) << 32 | static_cast<std::uint32_t>(fd);
 }
-#endif
 
 }  // namespace
 
-bool EventLoop::epoll_supported() noexcept {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-EventLoop::EventLoop(LoopBackend backend) {
-  if (backend == LoopBackend::kAuto)
-    backend = epoll_supported() ? LoopBackend::kEpoll : LoopBackend::kPoll;
-  backend_ = backend;
-  if (backend_ == LoopBackend::kEpoll && !epoll_supported())
-    throw std::runtime_error("EventLoop: epoll backend not supported here");
-  if (::pipe(wake_pipe_) != 0)
-    throw std::runtime_error(std::string("EventLoop: pipe: ") +
-                             std::strerror(errno));
-  set_nonblocking_cloexec(wake_pipe_[0]);
-  set_nonblocking_cloexec(wake_pipe_[1]);
-#if defined(__linux__)
-  if (backend_ == LoopBackend::kEpoll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0)
-      throw std::runtime_error(std::string("EventLoop: epoll_create1: ") +
-                               std::strerror(errno));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = pack_event(0, wake_pipe_[0]);
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev) != 0) {
-      const int err = errno;
-      ::close(epoll_fd_);
-      throw std::runtime_error(std::string("EventLoop: epoll_ctl(wake): ") +
-                               std::strerror(err));
-    }
-  }
-#endif
+EventLoop::EventLoop() {
+  int pipe_fds[2];
+  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0)
+    throw sys_error("pipe2", errno);
+  OwnedFd wake_read{pipe_fds[0]};
+  OwnedFd wake_write{pipe_fds[1]};
+  OwnedFd epoll{::epoll_create1(EPOLL_CLOEXEC)};
+  if (epoll.fd < 0) throw sys_error("epoll_create1", errno);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = pack_event(0, wake_read.fd);
+  if (::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, wake_read.fd, &ev) != 0)
+    throw sys_error("epoll_ctl(wake)", errno);
+  wake_pipe_[0] = wake_read.release();
+  wake_pipe_[1] = wake_write.release();
+  epoll_fd_ = epoll.release();
 }
 
 EventLoop::~EventLoop() {
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  ::close(epoll_fd_);
 }
 
-int EventLoop::find_fd(int fd) const {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= slot_of_.size()) return -1;
-  return slot_of_[static_cast<std::size_t>(fd)];
+EventLoop::FdEntry* EventLoop::find_fd(int fd) {
+  if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size()) return nullptr;
+  FdEntry& e = fds_[static_cast<std::size_t>(fd)];
+  return e.gen != 0 ? &e : nullptr;
 }
 
-void EventLoop::map_slot(int fd, int slot) {
-  const auto ufd = static_cast<std::size_t>(fd);
-  if (ufd >= slot_of_.size()) slot_of_.resize(ufd + 1, -1);
-  slot_of_[ufd] = slot;
-}
-
-void EventLoop::rebuild_slots() {
-  std::fill(slot_of_.begin(), slot_of_.end(), -1);
-  for (std::size_t i = 0; i < fds_.size(); ++i)
-    if (!fds_[i].dead) map_slot(fds_[i].fd, static_cast<int>(i));
-}
-
-#if defined(__linux__)
-void EventLoop::epoll_update(const FdEntry& e, int op) {
+void EventLoop::epoll_update(int fd, std::uint64_t gen, bool want_read,
+                             bool want_write, int op) {
   epoll_event ev{};
-  // Level-triggered, exactly the poll() interest translation; ERR/HUP
-  // are always delivered by the kernel and dispatch as readable.
-  ev.events = static_cast<std::uint32_t>(
-      ((e.events & POLLIN) ? EPOLLIN : 0u) |
-      ((e.events & POLLOUT) ? EPOLLOUT : 0u));
-  ev.data.u64 = pack_event(e.gen, e.fd);
-  if (::epoll_ctl(epoll_fd_, op, e.fd, &ev) != 0)
-    throw std::runtime_error(std::string("EventLoop: epoll_ctl: ") +
-                             std::strerror(errno));
+  // Level-triggered; ERR/HUP are always delivered by the kernel and
+  // dispatch as readable.
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.u64 = pack_event(gen, fd);
+  if (::epoll_ctl(epoll_fd_, op, fd, &ev) != 0)
+    throw sys_error("epoll_ctl", errno);
 }
-#endif
 
 void EventLoop::add_fd(int fd, bool want_read, bool want_write,
                        IoCallback cb) {
   if (fd < 0) throw std::invalid_argument("EventLoop::add_fd: bad fd");
-  if (find_fd(fd) >= 0)
+  if (find_fd(fd) != nullptr)
     throw std::invalid_argument("EventLoop::add_fd: fd already registered");
-  FdEntry e;
-  e.fd = fd;
-  e.events = static_cast<short>((want_read ? POLLIN : 0) |
-                                (want_write ? POLLOUT : 0));
-  e.cb = std::move(cb);
-  e.gen = next_fd_gen_++;
-#if defined(__linux__)
-  if (backend_ == LoopBackend::kEpoll) epoll_update(e, EPOLL_CTL_ADD);
-#endif
-  fds_.push_back(std::move(e));
-  map_slot(fd, static_cast<int>(fds_.size() - 1));
+  const std::uint64_t gen = next_fd_gen_++;
+  epoll_update(fd, gen, want_read, want_write, EPOLL_CTL_ADD);
+  const auto ufd = static_cast<std::size_t>(fd);
+  if (ufd >= fds_.size()) fds_.resize(ufd + 1);
+  fds_[ufd] = FdEntry{std::move(cb), gen};
 }
 
 void EventLoop::set_interest(int fd, bool want_read, bool want_write) {
-  const int i = find_fd(fd);
-  if (i < 0)
+  const FdEntry* e = find_fd(fd);
+  if (e == nullptr)
     throw std::invalid_argument("EventLoop::set_interest: unknown fd");
-  FdEntry& e = fds_[static_cast<std::size_t>(i)];
-  e.events = static_cast<short>((want_read ? POLLIN : 0) |
-                                (want_write ? POLLOUT : 0));
-#if defined(__linux__)
-  if (backend_ == LoopBackend::kEpoll) epoll_update(e, EPOLL_CTL_MOD);
-#endif
+  epoll_update(fd, e->gen, want_read, want_write, EPOLL_CTL_MOD);
 }
 
 void EventLoop::remove_fd(int fd) {
-  const int i = find_fd(fd);
-  if (i < 0) return;
-  FdEntry& e = fds_[static_cast<std::size_t>(i)];
-  e.dead = true;
-#if defined(__linux__)
+  FdEntry* e = find_fd(fd);
+  if (e == nullptr) return;
   // Deregister now: the caller is about to close (and possibly reuse)
   // the fd number, and the kernel's interest list must not follow it.
   // A failure here only means the fd is already gone from the set.
-  if (backend_ == LoopBackend::kEpoll)
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-  slot_of_[static_cast<std::size_t>(fd)] = -1;
-  have_dead_fds_ = true;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  *e = FdEntry{};
 }
 
 EventLoop::TimerId EventLoop::add_timer(double delay_seconds,
@@ -213,103 +168,40 @@ void EventLoop::drain_wake_pipe() {
   if (wake_handler_) wake_handler_();
 }
 
-void EventLoop::dispatch_entry(int slot, std::uint64_t gen, bool readable,
-                               bool writable) {
-  if (slot < 0) return;  // removed by an earlier callback this round
-  const FdEntry& e = fds_[static_cast<std::size_t>(slot)];
-  if (e.dead) return;
-  // An earlier callback may have closed this fd number and a new
-  // registration reused it: these events belong to the old socket, so
-  // only the registration that was waited on gets them. (epoll compares
-  // the low 32 bits it packed into the event.)
-  if ((e.gen & 0xffffffffull) != (gen & 0xffffffffull)) return;
-  // Invoke through a copy: the callback may remove fds or add new ones,
-  // and an add_fd push_back can reallocate fds_, destroying the entry
-  // (and the std::function) mid-invocation.
-  const IoCallback cb = e.cb;
-  cb(readable, writable);
-}
-
-void EventLoop::compact_dead() {
-  if (!have_dead_fds_) return;
-  std::erase_if(fds_, [](const FdEntry& e) { return e.dead; });
-  have_dead_fds_ = false;
-  rebuild_slots();
-}
-
-void EventLoop::poll_round() {
-  std::vector<pollfd> pfds;
-  std::vector<std::uint64_t> gens;  // registration stamp per pfds slot
-  pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-  gens.push_back(0);
-  for (const FdEntry& e : fds_)
-    if (!e.dead) {
-      pfds.push_back(pollfd{e.fd, e.events, 0});
-      gens.push_back(e.gen);
-    }
-
-  const int rc = ::poll(pfds.data(), pfds.size(), wait_timeout_ms());
-  if (rc < 0 && errno != EINTR)
-    throw std::runtime_error(std::string("EventLoop: poll: ") +
-                             std::strerror(errno));
-
-  dispatch_timers();
-
-  if (rc > 0) {
-    // Wake pipe first: drain, then notify.
-    if (pfds[0].revents & POLLIN) drain_wake_pipe();
-    for (std::size_t k = 1; k < pfds.size(); ++k) {
-      const pollfd& p = pfds[k];
-      if (p.revents == 0) continue;
-      const bool readable =
-          (p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0;
-      const bool writable = (p.revents & POLLOUT) != 0;
-      dispatch_entry(find_fd(p.fd), gens[k], readable, writable);
-    }
-  }
-}
-
-#if defined(__linux__)
-void EventLoop::epoll_round() {
+void EventLoop::round() {
   epoll_event events[128];
   const int rc = ::epoll_wait(epoll_fd_, events,
                               static_cast<int>(std::size(events)),
                               wait_timeout_ms());
-  if (rc < 0 && errno != EINTR)
-    throw std::runtime_error(std::string("EventLoop: epoll_wait: ") +
-                             std::strerror(errno));
+  if (rc < 0 && errno != EINTR) throw sys_error("epoll_wait", errno);
 
   dispatch_timers();
 
   for (int k = 0; k < rc; ++k) {
     const epoll_event& ev = events[k];
     const int fd = static_cast<int>(ev.data.u64 & 0xffffffffull);
-    const std::uint64_t gen = ev.data.u64 >> 32;
     if (fd == wake_pipe_[0]) {
       drain_wake_pipe();
       continue;
     }
-    const bool readable =
-        (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-    const bool writable = (ev.events & EPOLLOUT) != 0;
-    dispatch_entry(find_fd(fd), gen, readable, writable);
+    // An earlier callback may have removed this fd, or closed it and let
+    // a new registration reuse the number: these events belong to the
+    // old socket, so only the registration that was waited on gets them.
+    const FdEntry* e = find_fd(fd);
+    if (e == nullptr || (e->gen & 0xffffffffull) != ev.data.u64 >> 32)
+      continue;
+    // Invoke through a copy: the callback may remove fds or add new ones,
+    // and an add_fd resize can reallocate fds_, destroying the entry
+    // (and the std::function) mid-invocation.
+    const IoCallback cb = e->cb;
+    cb((ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0,
+       (ev.events & EPOLLOUT) != 0);
   }
 }
-#endif
 
 void EventLoop::run() {
   running_ = true;
-  while (running_) {
-#if defined(__linux__)
-    if (backend_ == LoopBackend::kEpoll)
-      epoll_round();
-    else
-      poll_round();
-#else
-    poll_round();
-#endif
-    compact_dead();
-  }
+  while (running_) round();
 }
 
 void EventLoop::stop() { running_ = false; }

@@ -8,20 +8,13 @@
 // runs its wake handler (e.g. hpcapd's SIGHUP model reload, or a reactor
 // shard draining its hand-off mailbox).
 //
-// Two readiness backends sit behind one contract:
-//
-//   * poll(2) — the only backend off Linux. O(fds) per wait, which is
-//     irrelevant at tens of connections but the binding constraint at
-//     tens of thousands.
-//   * epoll(7) — Linux only, always selected there (kAuto). O(ready)
-//     per wait; the kernel holds the interest set, so a mostly-idle
-//     50k-connection daemon pays only for the fds with traffic.
-//
-// Dispatch semantics are identical across backends — same
-// add_fd/set_interest/remove_fd/timer/wake contract, same
-// error-reported-as-readable convention, same stale-revents suppression
-// for fd numbers reused mid-round — and the backend-parity suite in
-// net_event_loop_test runs every loop regression against both.
+// Readiness comes from epoll(7), level-triggered, so hpcap_net needs
+// Linux. The kernel holds the interest set and each wait costs O(ready),
+// so a mostly-idle 50k-connection daemon pays only for the fds with
+// traffic. An error/hangup is reported as readable, and events the kernel
+// reported for an fd number that a callback closed and a new registration
+// reused in the same round are dropped (net_event_loop_test pins both
+// dispatch hazards).
 #pragma once
 
 #include <cstdint>
@@ -29,11 +22,6 @@
 #include <vector>
 
 namespace hpcap::net {
-
-// Readiness backend selection. kAuto resolves to kEpoll on Linux and
-// kPoll elsewhere; the backend-parity suite asks for kPoll explicitly.
-// Requesting kEpoll on a platform without it throws.
-enum class LoopBackend { kAuto, kPoll, kEpoll };
 
 class EventLoop {
  public:
@@ -43,15 +31,10 @@ class EventLoop {
   using IoCallback = std::function<void(bool readable, bool writable)>;
   using TimerId = std::uint64_t;
 
-  explicit EventLoop(LoopBackend backend = LoopBackend::kAuto);
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  // The resolved backend (never kAuto).
-  LoopBackend backend() const noexcept { return backend_; }
-  // True when this build can construct an epoll-backed loop.
-  static bool epoll_supported() noexcept;
 
   // Registers `fd` (must be unique; the loop does not own or close it).
   void add_fd(int fd, bool want_read, bool want_write, IoCallback cb);
@@ -81,14 +64,12 @@ class EventLoop {
   void set_wake_handler(std::function<void()> handler);
 
  private:
+  // One registry slot per fd number; gen == 0 marks a free slot.
   struct FdEntry {
-    int fd = -1;
-    short events = 0;
     IoCallback cb;
-    bool dead = false;
     // Registration stamp: an fd number freed by a callback and reused by
     // a new registration in the same dispatch round must not receive the
-    // old socket's revents.
+    // old socket's events. Its low 32 bits ride in each epoll event.
     std::uint64_t gen = 0;
   };
   struct Timer {
@@ -97,28 +78,15 @@ class EventLoop {
     std::function<void()> cb;
   };
 
-  // O(1) registry lookup: slot_of_[fd] indexes fds_, -1 when the fd is
-  // not (live-)registered. Replaces the old O(n) scan, which multiplied
-  // into O(fds * ready) dispatch — the other half of the poll bottleneck.
-  int find_fd(int fd) const;
-  void map_slot(int fd, int slot);
-  void rebuild_slots();
-
+  FdEntry* find_fd(int fd);
+  void epoll_update(int fd, std::uint64_t gen, bool want_read,
+                    bool want_write, int op);
   int wait_timeout_ms() const;
   void dispatch_timers();
   void drain_wake_pipe();
-  void dispatch_entry(int slot, std::uint64_t gen, bool readable,
-                      bool writable);
-  void compact_dead();
-  void poll_round();
-#if defined(__linux__)
-  void epoll_round();
-  void epoll_update(const FdEntry& e, int op);
-#endif
+  void round();
 
-  LoopBackend backend_ = LoopBackend::kPoll;
-  std::vector<FdEntry> fds_;
-  std::vector<int> slot_of_;  // indexed by fd number
+  std::vector<FdEntry> fds_;   // indexed by fd number
   std::vector<Timer> timers_;  // kept sorted by (deadline, id)
   TimerId next_timer_id_ = 1;
   std::uint64_t next_fd_gen_ = 1;
@@ -126,7 +94,6 @@ class EventLoop {
   int epoll_fd_ = -1;
   std::function<void()> wake_handler_;
   bool running_ = false;
-  bool have_dead_fds_ = false;
 };
 
 }  // namespace hpcap::net

@@ -1,12 +1,10 @@
 // Unit tests for the paper's core machinery: Productivity Index and Corr
-// selection, labeling, the two-level coordinated predictor, synopses and
-// the admission controller.
+// selection, labeling, the two-level coordinated predictor and synopses.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
-#include "core/admission.h"
 #include "core/coordinated.h"
 #include "core/labeling.h"
 #include "core/pipeline.h"
@@ -349,36 +347,6 @@ TEST(Coordinated, WrongGpvWidthThrows) {
   CoordinatedPredictor p(small_options());
   EXPECT_THROW(p.train({1}, 1), std::invalid_argument);
   EXPECT_THROW(p.predict({1, 1, 1}), std::invalid_argument);
-}
-
-TEST(Admission, AimdBehaviour) {
-  AdmissionController ac;
-  EXPECT_DOUBLE_EQ(ac.admit_probability(), 1.0);
-  ac.on_decision(true);
-  EXPECT_NEAR(ac.admit_probability(), 0.7, 1e-12);
-  ac.on_decision(true);
-  EXPECT_NEAR(ac.admit_probability(), 0.49, 1e-12);
-  ac.on_decision(false);
-  EXPECT_NEAR(ac.admit_probability(), 0.54, 1e-12);
-}
-
-TEST(Admission, NeverBelowFloorOrAboveOne) {
-  AdmissionController ac;
-  for (int i = 0; i < 100; ++i) ac.on_decision(true);
-  EXPECT_GE(ac.admit_probability(), 0.05);
-  for (int i = 0; i < 100; ++i) ac.on_decision(false);
-  EXPECT_LE(ac.admit_probability(), 1.0);
-}
-
-TEST(Admission, GateFollowsProbability) {
-  AdmissionController ac;
-  Rng rng(31);
-  for (int i = 0; i < 5; ++i) ac.on_decision(true);  // prob ~= 0.17
-  int admitted = 0;
-  for (int i = 0; i < 10000; ++i) admitted += ac.admit(rng);
-  EXPECT_NEAR(static_cast<double>(admitted) / 10000.0,
-              ac.admit_probability(), 0.02);
-  EXPECT_EQ(ac.admitted() + ac.rejected(), 10000u);
 }
 
 ml::Dataset separable_dataset() {

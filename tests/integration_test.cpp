@@ -6,10 +6,10 @@
 
 #include <memory>
 
-#include "core/admission.h"
 #include "core/online_adapt.h"
 #include "core/productivity.h"
 #include "core/synopsis.h"
+#include "ctrl/admission.h"
 #include "ml/evaluate.h"
 #include "testbed/experiment.h"
 
@@ -216,15 +216,17 @@ TEST(PaperShape, AdmissionControlReducesOverload) {
     TestbedConfig c = f.cfg;
     c.seed = f.cfg.seed + 31;
     testbed::Testbed bed(c);
-    core::AdmissionController throttle;
+    ctrl::CapAdmissionController throttle;
+    double fraction = 1.0;  // admit_fraction of the last window
     Rng gate_rng(9);
     if (protect) {
       monitor.predictor().reset_history();
       bed.set_admission_gate(
-          [&](const sim::Request&) { return throttle.admit(gate_rng); });
+          [&](const sim::Request&) { return gate_rng.bernoulli(fraction); });
       bed.set_instance_observer([&](const testbed::InstanceRecord& rec) {
-        throttle.on_decision(
-            monitor.observe(testbed::monitor_rows(rec, "hpc")).state == 1);
+        throttle.on_window(monitor.observe(testbed::monitor_rows(rec, "hpc")),
+                           rec.offered_rate * fraction);
+        fraction = throttle.admit_fraction(rec.offered_rate);
       });
     }
     bed.run(surge);

@@ -9,17 +9,19 @@
 // readiness captured for the old socket must not be dispatched to the new
 // registration's callback. Both run under the asan label.
 //
-// Backend parity: every test is parameterized over both readiness
-// backends (poll everywhere, epoll where the platform has it), so the
-// two implementations are held to identical dispatch semantics.
+// The rest pin the registry contract (remove and re-add, interest
+// changes, cross-registration wake) and that a constructor which fails
+// part-way leaks none of the descriptors it already opened.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "net/event_loop.h"
@@ -45,37 +47,8 @@ struct Pipe {
   }
 };
 
-class NetEventLoop : public ::testing::TestWithParam<LoopBackend> {
- protected:
-  LoopBackend backend() const { return GetParam(); }
-};
-
-std::vector<LoopBackend> available_backends() {
-  std::vector<LoopBackend> backends{LoopBackend::kPoll};
-  if (EventLoop::epoll_supported()) backends.push_back(LoopBackend::kEpoll);
-  return backends;
-}
-
-std::string backend_name(
-    const ::testing::TestParamInfo<LoopBackend>& info) {
-  return info.param == LoopBackend::kEpoll ? "Epoll" : "Poll";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetEventLoop,
-                         ::testing::ValuesIn(available_backends()),
-                         backend_name);
-
-TEST_P(NetEventLoop, ResolvesTheRequestedBackend) {
-  EventLoop loop(backend());
-  EXPECT_EQ(loop.backend(), backend());
-  EXPECT_NE(EventLoop(LoopBackend::kAuto).backend(), LoopBackend::kAuto);
-#if !defined(__linux__)
-  EXPECT_THROW(EventLoop bad(LoopBackend::kEpoll), std::runtime_error);
-#endif
-}
-
-TEST_P(NetEventLoop, CallbackMayGrowTheRegistryMidDispatch) {
-  EventLoop loop(backend());
+TEST(NetEventLoop, CallbackMayGrowTheRegistryMidDispatch) {
+  EventLoop loop;
   Pipe trigger;
   trigger.poke();
 
@@ -110,8 +83,8 @@ TEST_P(NetEventLoop, CallbackMayGrowTheRegistryMidDispatch) {
   EXPECT_EQ(after_grow, 256);
 }
 
-TEST_P(NetEventLoop, ReusedFdNumberDoesNotInheritStaleRevents) {
-  EventLoop loop(backend());
+TEST(NetEventLoop, ReusedFdNumberDoesNotInheritStaleRevents) {
+  EventLoop loop;
   Pipe first;   // dispatched first (registration order)
   Pipe victim;  // readable this round; its fd number gets reused
   first.poke();
@@ -134,15 +107,21 @@ TEST_P(NetEventLoop, ReusedFdNumberDoesNotInheritStaleRevents) {
     loop.add_fd(reused_fd, true, false, [&](bool, bool) { ++new_cb_hits; });
     loop.add_timer(0.05, [&] { loop.stop(); });
   });
+  // Registered second, so its readiness is still pending in the round
+  // when the first callback closes it.
+  int victim_hits = 0;
+  loop.add_fd(victim.reader(), true, false,
+              [&](bool, bool) { ++victim_hits; });
   loop.run();
   ::close(reused_fd);
+  EXPECT_EQ(victim_hits, 0);
   // The dup of the drained first-pipe reader never has data: any hit
   // means stale readiness from the closed victim was misdelivered.
   EXPECT_EQ(new_cb_hits, 0);
 }
 
-TEST_P(NetEventLoop, RemoveAndReaddKeepsDispatchingNewCallback) {
-  EventLoop loop(backend());
+TEST(NetEventLoop, RemoveAndReaddKeepsDispatchingNewCallback) {
+  EventLoop loop;
   Pipe p;
   p.poke();
   int old_hits = 0;
@@ -163,8 +142,8 @@ TEST_P(NetEventLoop, RemoveAndReaddKeepsDispatchingNewCallback) {
   EXPECT_EQ(new_hits, 1);
 }
 
-TEST_P(NetEventLoop, SetInterestTogglesWritability) {
-  EventLoop loop(backend());
+TEST(NetEventLoop, SetInterestTogglesWritability) {
+  EventLoop loop;
   Pipe p;
   p.poke();
   int read_hits = 0;
@@ -185,8 +164,8 @@ TEST_P(NetEventLoop, SetInterestTogglesWritability) {
   EXPECT_EQ(write_hits, 0);
 }
 
-TEST_P(NetEventLoop, WakeFromAnotherRegistrationRunsTheHandler) {
-  EventLoop loop(backend());
+TEST(NetEventLoop, WakeFromAnotherRegistrationRunsTheHandler) {
+  EventLoop loop;
   Pipe p;
   p.poke();
   int woken = 0;
@@ -200,6 +179,43 @@ TEST_P(NetEventLoop, WakeFromAnotherRegistrationRunsTheHandler) {
   });
   loop.run();
   EXPECT_EQ(woken, 1);
+}
+
+// The lowest fd number open() would hand out right now.
+int lowest_free_fd() {
+  const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  EXPECT_GE(fd, 0);
+  ::close(fd);
+  return fd;
+}
+
+TEST(NetEventLoop, FailedConstructionLeaksNoDescriptors) {
+  // Find the two lowest free fd numbers: pipe2 takes exactly these, so a
+  // soft limit just above them lets the wake pipe open and makes
+  // epoll_create1 fail with EMFILE.
+  const int first = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  const int second = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(first, 0);
+  ASSERT_GT(second, first);
+  ::close(first);
+  ::close(second);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(second) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  bool threw = false;
+  try {
+    EventLoop loop;
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_TRUE(threw);
+  // Both wake-pipe descriptors were closed again on the way out.
+  EXPECT_EQ(lowest_free_fd(), first);
 }
 
 }  // namespace

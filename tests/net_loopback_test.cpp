@@ -285,11 +285,12 @@ net::ServerConfig test_config() {
 
 // --- the headline test ----------------------------------------------------
 
-TEST(NetLoopback, WireDecisionsBitIdenticalAcrossConcurrentConnections) {
+// Three agents stream concurrently to a fresh daemon, `batch_ticks` ticks
+// per SAMPLE_BATCH, and every decision must match the reference session.
+void expect_concurrent_wire_matches_reference(int batch_ticks) {
   constexpr int kClients = 3;
   constexpr int kTicks = 10000;  // sampling intervals per connection
   constexpr int kWindow = 4;
-  constexpr int kBatch = 250;
 
   const net::ServerConfig cfg = test_config();
   Harness h(core::MonitorSource::from_bytes(bundle_a()), cfg);
@@ -320,14 +321,15 @@ TEST(NetLoopback, WireDecisionsBitIdenticalAcrossConcurrentConnections) {
   // Interleave the three connections batch by batch so they are streaming
   // concurrently, draining decisions as they arrive (which also keeps the
   // server's write queues far from the shed bound).
-  for (int start = 0; start < kTicks; start += kBatch) {
+  for (int start = 0; start < kTicks; start += batch_ticks) {
     for (int c = 0; c < kClients; ++c) {
       SampleBatch batch;
       batch.first_tick = static_cast<std::uint32_t>(start);
       batch.ticks.assign(streams[c].begin() + start,
-                         streams[c].begin() + start + kBatch);
+                         streams[c].begin() + start + batch_ticks);
       clients[c].send_batch(batch);
-      for (int i = start; i < start + kBatch; ++i) refs[c].feed(streams[c][i]);
+      for (int i = start; i < start + batch_ticks; ++i)
+        refs[c].feed(streams[c][i]);
       for (const auto& d : clients[c].drain_decisions()) wire[c].push_back(d);
     }
   }
@@ -350,6 +352,15 @@ TEST(NetLoopback, WireDecisionsBitIdenticalAcrossConcurrentConnections) {
   EXPECT_EQ(stats.value("connections_active"),
             static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(stats.value("protocol_version"), net::kProtocolVersion);
+}
+
+TEST(NetLoopback, WireDecisionsBitIdenticalAcrossConcurrentConnections) {
+  // Frame granularity must not change a single decision: one tick per
+  // frame, a small batch and the headline batch (each divides 10000).
+  for (const int batch_ticks : {1, 16, 250}) {
+    SCOPED_TRACE("batch_ticks " + std::to_string(batch_ticks));
+    expect_concurrent_wire_matches_reference(batch_ticks);
+  }
 }
 
 TEST(NetLoopback, HugeTimeoutsClampInsteadOfUndefinedCast) {
