@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -28,7 +29,9 @@
 #include "core/model_io.h"
 #include "core/monitor_source.h"
 #include "core/pipeline.h"
+#include "core/validate.h"
 #include "counters/metric_catalog.h"
+#include "counters/sampler.h"
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/protocol.h"
@@ -393,6 +396,196 @@ TEST(NetResume, ResumeReplaysRetainedDecisionsAndDedupsReplayedBatches) {
   EXPECT_EQ(stats.value("sessions_resumed"), 1u);
   EXPECT_GE(stats.value("batches_deduped"), 1u);
   EXPECT_EQ(stats.value("sessions_expired"), 0u);
+}
+
+// --- batch-shape rejection: whole batch or nothing -------------------------
+
+// The scalar in-process chain (aggregate -> validate -> observe_masked,
+// window by window) the daemon's decisions must match bit for bit.
+struct Oracle {
+  core::CapacityMonitor monitor;
+  core::RowValidator validator;
+  std::vector<counters::InstanceAggregator> aggregators;
+  std::vector<DecisionFrame> decisions;
+
+  Oracle(const core::MonitorSource& source, const net::ServerConfig& cfg)
+      : monitor(source.instantiate()),
+        validator({.dim = catalog_dim(), .max_abs = cfg.validator_max_abs}) {
+    monitor.predictor().reset_history();
+    for (int t = 0; t < cfg.num_tiers; ++t)
+      aggregators.emplace_back(catalog_dim(), 1, cfg.max_missing_fraction,
+                               cfg.aggregator_trim);
+  }
+
+  void feed(const std::vector<Tick>& ticks) {
+    for (const Tick& tick : ticks) {
+      std::vector<std::vector<double>> rows(tick.tiers.size());
+      std::vector<std::uint8_t> mask(tick.tiers.size(), 0);
+      for (std::size_t t = 0; t < tick.tiers.size(); ++t) {
+        const auto r = aggregators[t].add_slot(tick.tiers[t].values);
+        rows[t] = r.valid ? *r.instance
+                          : std::vector<double>(catalog_dim(), 0.0);
+        mask[t] = r.valid && validator.validate(rows[t]) ==
+                                 core::RowVerdict::kValid;
+      }
+      const auto d = monitor.observe_masked(rows, mask);
+      DecisionFrame f;
+      f.window_index = static_cast<std::uint32_t>(decisions.size());
+      f.state = static_cast<std::uint8_t>(d.state);
+      f.confident = d.confident ? 1 : 0;
+      f.degraded = d.degraded ? 1 : 0;
+      f.hc = d.hc;
+      f.bottleneck_tier = d.bottleneck_tier;
+      f.staleness = d.staleness;
+      decisions.push_back(f);
+    }
+  }
+};
+
+SampleBatch batch_of(std::uint64_t seq, const std::vector<Tick>& ticks,
+                     std::size_t from, std::size_t to) {
+  SampleBatch batch;
+  batch.batch_seq = seq;
+  batch.first_tick = static_cast<std::uint32_t>(from);
+  batch.ticks.assign(ticks.begin() + static_cast<std::ptrdiff_t>(from),
+                     ticks.begin() + static_cast<std::ptrdiff_t>(to));
+  return batch;
+}
+
+// Reads frames up to and including the ACK for `seq`, returning the
+// decisions that came before it.
+std::vector<DecisionFrame> read_until_ack(RawConn& conn, std::uint64_t seq) {
+  std::vector<DecisionFrame> out;
+  for (;;) {
+    auto frame = conn.next_frame();
+    if (!frame) {
+      ADD_FAILURE() << "stream ended before the ACK for batch " << seq;
+      return out;
+    }
+    if (frame->type == FrameType::kAck) {
+      if (net::decode_ack(frame->payload).last_applied_seq == seq) return out;
+      continue;
+    }
+    EXPECT_EQ(static_cast<int>(frame->type),
+              static_cast<int>(FrameType::kDecision));
+    out.push_back(net::decode_decision(frame->payload));
+  }
+}
+
+std::uint64_t stat_of(std::uint16_t port, const char* key) {
+  net::Client observer;
+  observer.connect("127.0.0.1", port);
+  return observer.stats().value(key);
+}
+
+// Batch 2 of a 12-tick stream carries a defect in its last tick. The
+// daemon must drop the peer and apply none of batch 2: the resumed
+// session reports batch 1 as the last applied, and re-sending batches 2
+// and 3 yields the in-process oracle's decisions bit for bit — a prefix
+// of the bad batch applied before the defect was found would shift the
+// aggregators and the predictor history.
+void expect_bad_batch_applies_nothing(
+    const std::function<std::vector<std::uint8_t>(SampleBatch)>& spoil) {
+  const net::ServerConfig cfg = test_config();
+  Harness h(core::MonitorSource::from_bytes(bundle()), cfg);
+  const auto ticks = make_ticks(12, 61);
+  Oracle oracle(h.source, cfg);
+  oracle.feed(ticks);
+
+  RawConn first(h.port());
+  first.send(net::encode_hello_request(raw_hello()));
+  auto reply_frame = first.next_frame();
+  ASSERT_TRUE(reply_frame.has_value());
+  const auto reply = net::decode_hello_reply(reply_frame->payload);
+  ASSERT_TRUE(reply.accepted) << reply.message;
+  first.send(net::encode_sample_batch(batch_of(1, ticks, 0, 4)));
+  std::vector<DecisionFrame> wire = read_until_ack(first, 1);
+  ASSERT_EQ(wire.size(), 4u);
+
+  first.send(spoil(batch_of(2, ticks, 4, 8)));
+  EXPECT_TRUE(first.wait_for_disconnect())
+      << "daemon kept a peer that sent a malformed batch";
+  first.close();
+  EXPECT_EQ(stat_of(h.port(), "malformed_frames"), 1u);
+
+  RawConn second(h.port());
+  second.send(net::encode_hello_request(raw_hello(reply.session_token, 4)));
+  auto resumed_frame = second.next_frame();
+  ASSERT_TRUE(resumed_frame.has_value());
+  const auto resumed = net::decode_hello_reply(resumed_frame->payload);
+  ASSERT_TRUE(resumed.accepted) << resumed.message;
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.last_applied_seq, 1u)
+      << "part of the malformed batch was applied";
+  second.send(net::encode_sample_batch(batch_of(2, ticks, 4, 8)));
+  second.send(net::encode_sample_batch(batch_of(3, ticks, 8, 12)));
+  for (const auto& d : read_until_ack(second, 3)) wire.push_back(d);
+  ASSERT_EQ(wire.size(), oracle.decisions.size());
+  for (std::size_t i = 0; i < wire.size(); ++i)
+    expect_same(wire[i], oracle.decisions[i]);
+}
+
+// Payload bytes of a framed SAMPLE_BATCH.
+std::vector<std::uint8_t> payload_bytes(const SampleBatch& batch) {
+  const auto frame = net::encode_sample_batch(batch);
+  return {frame.begin() + net::kHeaderSize, frame.end() - net::kCrcSize};
+}
+
+TEST(NetResume, LastTickWithWrongTierCountAppliesNothing) {
+  expect_bad_batch_applies_nothing([](SampleBatch batch) {
+    batch.ticks.back().tiers.pop_back();
+    return net::encode_sample_batch(batch);
+  });
+}
+
+TEST(NetResume, LastSlotWithWrongWidthAppliesNothing) {
+  expect_bad_batch_applies_nothing([](SampleBatch batch) {
+    batch.ticks.back().tiers.back().values.pop_back();
+    return net::encode_sample_batch(batch);
+  });
+}
+
+TEST(NetResume, TruncatedFinalSlotAppliesNothing) {
+  expect_bad_batch_applies_nothing([](SampleBatch batch) {
+    // Cut the last value's 8 bytes and frame the short payload with a
+    // valid checksum: only the decoder can catch it.
+    auto payload = payload_bytes(batch);
+    payload.resize(payload.size() - 8);
+    return net::encode_frame(FrameType::kSampleBatch, payload);
+  });
+}
+
+// Dedup comes before the shape check: a retransmitted batch the daemon
+// has already applied is acknowledged and ignored even when its shape is
+// wrong, and the stream carries on.
+TEST(NetResume, DuplicateBatchWithBadShapeIsAckedAndIgnored) {
+  const net::ServerConfig cfg = test_config();
+  Harness h(core::MonitorSource::from_bytes(bundle()), cfg);
+  const auto ticks = make_ticks(12, 62);
+  Oracle oracle(h.source, cfg);
+  oracle.feed(ticks);
+
+  RawConn conn(h.port());
+  conn.send(net::encode_hello_request(raw_hello()));
+  ASSERT_TRUE(conn.next_frame().has_value());
+  conn.send(net::encode_sample_batch(batch_of(1, ticks, 0, 4)));
+  std::vector<DecisionFrame> wire = read_until_ack(conn, 1);
+  conn.send(net::encode_sample_batch(batch_of(2, ticks, 4, 8)));
+  for (const auto& d : read_until_ack(conn, 2)) wire.push_back(d);
+  ASSERT_EQ(wire.size(), 8u);
+
+  SampleBatch dup = batch_of(2, ticks, 4, 8);
+  dup.ticks.back().tiers.pop_back();
+  conn.send(net::encode_sample_batch(dup));
+  EXPECT_TRUE(read_until_ack(conn, 2).empty())
+      << "an already-applied batch produced decisions";
+  conn.send(net::encode_sample_batch(batch_of(3, ticks, 8, 12)));
+  for (const auto& d : read_until_ack(conn, 3)) wire.push_back(d);
+  ASSERT_EQ(wire.size(), oracle.decisions.size());
+  for (std::size_t i = 0; i < wire.size(); ++i)
+    expect_same(wire[i], oracle.decisions[i]);
+  EXPECT_EQ(stat_of(h.port(), "malformed_frames"), 0u);
+  EXPECT_EQ(stat_of(h.port(), "batches_deduped"), 1u);
 }
 
 TEST(NetResume, BatchSequenceGapDropsThePeer) {
