@@ -35,6 +35,13 @@ void StreamPipeline::add_slot(std::size_t tier,
 }
 
 // hpcap-lint: hot-path
+void StreamPipeline::add_slot_le(std::size_t tier,
+                                 std::span<const std::uint8_t> values) {
+  ++counts_.slots_present;
+  place(tier, aggregators_[tier].add_slot_le(values));
+}
+
+// hpcap-lint: hot-path
 void StreamPipeline::mark_missing(std::size_t tier) {
   ++counts_.slots_missing;
   place(tier, aggregators_[tier].mark_missing_view());

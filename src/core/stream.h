@@ -61,6 +61,9 @@ class StreamPipeline {
   // One tier's slot of the current tick: a sample (a non-finite one
   // counts as missing) or no sample. `values` must be opts.dim wide.
   void add_slot(std::size_t tier, std::span<const double> values);
+  // The same slot read in place from opts.dim little-endian IEEE-754
+  // doubles at any alignment (hpcapd passes SAMPLE_BATCH payload bytes).
+  void add_slot_le(std::size_t tier, std::span<const std::uint8_t> values);
   void mark_missing(std::size_t tier);
   // Closes the tick after every tier's slot. True when the block is full:
   // decide() must run before the next tick.

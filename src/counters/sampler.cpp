@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/bytes.h"
+
 namespace hpcap::counters {
 
 InstanceAggregator::InstanceAggregator(std::size_t dim,
@@ -23,9 +25,31 @@ InstanceAggregator::InstanceAggregator(std::size_t dim,
         "InstanceAggregator: trimmed_samples must leave a non-empty core");
   max_missing_ = static_cast<int>(max_missing_fraction *
                                   static_cast<double>(window_));
-  buffer_.assign(static_cast<std::size_t>(window_) * dim_, 0.0);
+  if (trim_ == 0) {
+    sum_.assign(dim_, 0.0);
+  } else {
+    buffer_.assign(static_cast<std::size_t>(window_) * dim_, 0.0);
+    column_.reserve(static_cast<std::size_t>(window_));
+  }
   instance_.assign(dim_, 0.0);
-  column_.reserve(static_cast<std::size_t>(window_));
+}
+
+// hpcap-lint: hot-path
+template <typename Load>
+InstanceAggregator::SlotView InstanceAggregator::add_row(Load value) {
+  bool finite = true;
+  for (std::size_t i = 0; i < dim_; ++i)
+    finite = finite & std::isfinite(value(i));
+  if (!finite) return mark_missing_view();
+  ++slots_;
+  if (trim_ == 0) {
+    for (std::size_t i = 0; i < dim_; ++i) sum_[i] += value(i);
+  } else {
+    double* row = buffer_.data() + static_cast<std::size_t>(rows_) * dim_;
+    for (std::size_t i = 0; i < dim_; ++i) row[i] = value(i);
+  }
+  ++rows_;
+  return close_if_full();
 }
 
 // hpcap-lint: hot-path
@@ -33,15 +57,17 @@ InstanceAggregator::SlotView InstanceAggregator::add_slot_view(
     std::span<const double> sample) {
   if (sample.size() != dim_)
     throw std::invalid_argument("InstanceAggregator: dimension mismatch");
-  const bool finite =
-      std::all_of(sample.begin(), sample.end(),
-                  [](double v) { return std::isfinite(v); });
-  if (!finite) return mark_missing_view();
-  ++slots_;
-  std::copy(sample.begin(), sample.end(),
-            buffer_.begin() + static_cast<std::size_t>(rows_) * dim_);
-  ++rows_;
-  return close_if_full();
+  return add_row([p = sample.data()](std::size_t i) { return p[i]; });
+}
+
+// hpcap-lint: hot-path
+InstanceAggregator::SlotView InstanceAggregator::add_slot_le(
+    std::span<const std::uint8_t> sample) {
+  if (sample.size() != dim_ * 8)
+    throw std::invalid_argument("InstanceAggregator: dimension mismatch");
+  return add_row([p = sample.data()](std::size_t i) {
+    return util::load_le_f64(p + 8 * i);
+  });
 }
 
 InstanceAggregator::SlotView InstanceAggregator::mark_missing_view() {
@@ -65,17 +91,9 @@ InstanceAggregator::SlotView InstanceAggregator::close_if_full() {
     return r;
   }
   r.valid = true;
-  std::fill(instance_.begin(), instance_.end(), 0.0);
   if (trim_ == 0) {
-    // Row-major accumulation in arrival order — the same FP addition
-    // sequence as the legacy vector-of-rows loop, so means stay
-    // bit-identical across the storage change.
-    for (int s = 0; s < present; ++s) {
-      const double* row = buffer_.data() + static_cast<std::size_t>(s) * dim_;
-      for (std::size_t i = 0; i < dim_; ++i) instance_[i] += row[i];
-    }
     for (std::size_t i = 0; i < dim_; ++i)
-      instance_[i] /= static_cast<double>(present);
+      instance_[i] = sum_[i] / static_cast<double>(present);
   } else {
     column_.resize(static_cast<std::size_t>(present));
     for (std::size_t i = 0; i < dim_; ++i) {
@@ -125,6 +143,7 @@ void InstanceAggregator::reset() {
   slots_ = 0;
   missing_ = 0;
   rows_ = 0;
+  std::fill(sum_.begin(), sum_.end(), 0.0);
 }
 
 }  // namespace hpcap::counters

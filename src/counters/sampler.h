@@ -64,6 +64,10 @@ class InstanceAggregator {
   // as a missing slot (a garbage read is a failed read). Throws
   // std::invalid_argument on dimension mismatch.
   SlotView add_slot_view(std::span<const double> sample);
+  // The same slot read in place from `dim` little-endian IEEE-754
+  // doubles at any alignment (a SAMPLE_BATCH slot straight off the wire):
+  // each value is loaded from the bytes, never copied into a row first.
+  SlotView add_slot_le(std::span<const std::uint8_t> sample);
 
   // Consumes one slot with no sample (dropped read, tier blackout).
   SlotView mark_missing_view();
@@ -89,6 +93,10 @@ class InstanceAggregator {
   }
 
  private:
+  // One surviving row, value i = value(i): checked for finiteness in
+  // full, then added to the running sums (or, with trimming, buffered).
+  template <typename Load>
+  SlotView add_row(Load value);
   SlotView close_if_full();
   static SlotResult to_result(const SlotView& v);
 
@@ -98,10 +106,13 @@ class InstanceAggregator {
   int trim_;
   int slots_ = 0;    // slots consumed in the current window
   int missing_ = 0;  // missing slots among them
-  int rows_ = 0;     // surviving samples buffered
-  // Surviving samples of the open window in one flat row-major slab
-  // (sized window_ * dim_ once at construction), in arrival order — the
-  // untrimmed mean sums in exactly the order the old running-sum did.
+  int rows_ = 0;     // surviving samples in the window
+  // Untrimmed (trim 0): per-metric running sums of the surviving samples
+  // in arrival order, the same FP addition sequence as summing the
+  // buffered rows at close, so the means are bit-identical to it.
+  std::vector<double> sum_;
+  // Trimmed: the surviving samples of the open window in one flat
+  // row-major slab (sized window_ * dim_ once at construction).
   std::vector<double> buffer_;
   std::vector<double> instance_;  // SlotView::instance backing store
   std::vector<double> column_;    // per-metric gather scratch for trimming

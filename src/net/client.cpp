@@ -40,6 +40,9 @@ int poll_timeout_ms(double timeout_seconds) {
   throw std::runtime_error("net::Client: " + what);
 }
 
+// Bytes asked of each recv (the assembler keeps this much free space).
+constexpr std::size_t kReadChunk = 65536;
+
 // The wire itself broke (refused/reset/EOF). Resilience reconnects.
 [[noreturn]] void fail_transport(const std::string& what) {
   throw TransportError("net::Client: " + what);
@@ -53,7 +56,6 @@ Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
       assembler_(std::move(other.assembler_)),
       decisions_(std::move(other.decisions_)),
-      send_scratch_(std::move(other.send_scratch_)),
       policy_(other.policy_),
       host_(std::move(other.host_)),
       port_(other.port_),
@@ -196,14 +198,14 @@ int Client::fill(double timeout_seconds) {
   const int ready = io::poll_retry(&p, 1, poll_timeout_ms(budget));
   if (ready < 0) fail_transport(std::string("poll: ") + std::strerror(errno));
   if (ready == 0) return 0;
-  std::uint8_t buf[65536];
-  const ssize_t n = io::recv_retry(fd_, buf, sizeof buf, 0);
+  const std::span<std::uint8_t> room = assembler_.prepare(kReadChunk);
+  const ssize_t n = io::recv_retry(fd_, room.data(), room.size(), 0);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 1;
     fail_transport(std::string("recv: ") + std::strerror(errno));
   }
   if (n == 0) return -1;
-  assembler_.append(buf, static_cast<std::size_t>(n));
+  assembler_.commit(static_cast<std::size_t>(n));
   last_rx_ = io::monotonic_seconds();
   return 1;
 }
@@ -217,6 +219,11 @@ void Client::on_ack(const AckFrame& ack) {
     }
     pending_.pop_front();
   }
+}
+
+void Client::on_decisions(std::span<const std::uint8_t> payload) {
+  const DecisionBlock block = decode_decision_block(payload);
+  for (const DecisionFrame& d : block.decisions()) on_decision(d);
 }
 
 void Client::on_decision(const DecisionFrame& d) {
@@ -241,7 +248,7 @@ Frame Client::await_frame(FrameType want, double timeout_seconds) {
       if (frame->type == FrameType::kDecision) {
         // DECISIONs decode straight off the receive buffer — no payload
         // copy for the frames that dominate a streaming session.
-        on_decision(decode_decision(frame->payload));
+        on_decisions(frame->payload);
         continue;
       }
       if (frame->type == FrameType::kAck) {
@@ -428,23 +435,42 @@ AggregateSubscribeReply Client::aggregate_subscribe(
 void Client::send_aggregate(AggregateBatch& batch) {
   if (batch.agg_seq == 0) batch.agg_seq = next_seq_;
   next_seq_ = std::max(next_seq_, batch.agg_seq + 1);
+  send_sequenced(batch.agg_seq, [&](std::vector<std::uint8_t>& out) {
+    encode_aggregate_batch_into(batch, out);
+  });
+}
+
+template <typename Encode>
+void Client::send_sequenced(std::uint64_t seq, Encode encode) {
   bool recorded = false;
   with_resilience([&] {
     ensure_pending_space();
-    send_scratch_.clear();
-    encode_aggregate_batch_into(batch, send_scratch_);
     if (!recorded) {
+      // Encode straight into the replay entry (a recycled one once the
+      // buffer has warmed up) and send from it: one encode, no copy.
       PendingBatch p;
-      p.seq = batch.agg_seq;
+      p.seq = seq;
       if (!pending_spares_.empty()) {
         p.bytes = std::move(pending_spares_.back());
         pending_spares_.pop_back();
       }
-      p.bytes.assign(send_scratch_.begin(), send_scratch_.end());
+      encode(p.bytes);
       pending_.push_back(std::move(p));
       recorded = true;
+      send_all(pending_.back().bytes);
+      return;
     }
-    send_all(send_scratch_);
+    // A retry after recovery. handshake() has already retransmitted the
+    // frame if the daemon had not applied it; it goes out once more, and
+    // the daemon dedups it by sequence. If the daemon had applied it, its
+    // ACK pruned the entry, so the frame is encoded again.
+    if (!pending_.empty() && pending_.back().seq == seq) {
+      send_all(pending_.back().bytes);
+      return;
+    }
+    std::vector<std::uint8_t> again;
+    encode(again);
+    send_all(again);
   });
 }
 
@@ -467,26 +493,8 @@ void Client::ensure_pending_space() {
 void Client::send_batch(SampleBatch& batch) {
   if (batch.batch_seq == 0) batch.batch_seq = next_seq_;
   next_seq_ = std::max(next_seq_, batch.batch_seq + 1);
-  bool recorded = false;
-  with_resilience([&] {
-    ensure_pending_space();
-    // Reuse one encode buffer across batches: after the first few sends
-    // the scratch reaches its high-water capacity and the encode+write
-    // path stops allocating.
-    send_scratch_.clear();
-    encode_sample_batch_into(batch, send_scratch_);
-    if (!recorded) {
-      PendingBatch p;
-      p.seq = batch.batch_seq;
-      if (!pending_spares_.empty()) {
-        p.bytes = std::move(pending_spares_.back());
-        pending_spares_.pop_back();
-      }
-      p.bytes.assign(send_scratch_.begin(), send_scratch_.end());
-      pending_.push_back(std::move(p));
-      recorded = true;
-    }
-    send_all(send_scratch_);
+  send_sequenced(batch.batch_seq, [&](std::vector<std::uint8_t>& out) {
+    encode_sample_batch_into(batch, out);
   });
 }
 
@@ -498,7 +506,7 @@ void Client::buffer_decisions() {
     }
     if (frame->type != FrameType::kDecision)
       throw ProtocolError("net::Client: unexpected frame type");
-    on_decision(decode_decision(frame->payload));
+    on_decisions(frame->payload);
   }
 }
 
@@ -508,8 +516,8 @@ std::vector<DecisionFrame> Client::drain_decisions() {
     if (fd_ >= 0) {
       pollfd p{fd_, POLLIN, 0};
       while (io::poll_retry(&p, 1, 0) > 0 && (p.revents & POLLIN)) {
-        std::uint8_t buf[65536];
-        const ssize_t n = io::recv_retry(fd_, buf, sizeof buf, 0);
+        const std::span<std::uint8_t> room = assembler_.prepare(kReadChunk);
+        const ssize_t n = io::recv_retry(fd_, room.data(), room.size(), 0);
         // EOF must escalate, not be swallowed: a drain that shrugs off a
         // dead socket leaves the outage undetected until the next
         // blocking read, and the replay buffer grows the whole time.
@@ -518,9 +526,9 @@ std::vector<DecisionFrame> Client::drain_decisions() {
           if (errno == EAGAIN || errno == EWOULDBLOCK) break;
           fail_transport(std::string("recv: ") + std::strerror(errno));
         }
-        assembler_.append(buf, static_cast<std::size_t>(n));
+        assembler_.commit(static_cast<std::size_t>(n));
         last_rx_ = io::monotonic_seconds();
-        if (n < static_cast<ssize_t>(sizeof buf)) break;
+        if (static_cast<std::size_t>(n) < room.size()) break;
       }
       buffer_decisions();
     }

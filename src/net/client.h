@@ -2,9 +2,10 @@
 // `hpcapctl stream`) links against.
 //
 // One blocking TCP connection, synchronous round-trips for control
-// frames, and a local buffer for DECISION frames that arrive interleaved
-// with control replies (the daemon streams decisions as windows close,
-// regardless of what else is in flight). Single-threaded use only.
+// frames, and a local per-decision queue fed by the DECISION blocks that
+// arrive interleaved with control replies (the daemon streams each
+// decided block as it closes, regardless of what else is in flight).
+// Single-threaded use only.
 //
 // Resilience (set_retry_policy): the client keeps every
 // SAMPLE_BATCH in a bounded replay buffer until the daemon's cumulative
@@ -13,8 +14,8 @@
 // reconnects under the RetryPolicy's backoff/deadline budget, re-sends
 // HELLO with the session's resume token, prunes the replay buffer to the
 // daemon's last-applied sequence, and retransmits the rest. The daemon
-// dedups by sequence and replays missed DECISIONs, and the client drops
-// DECISION windows it has already seen — so the decision stream the
+// dedups by sequence and replays missed decisions, and the client drops
+// the windows it has already seen, record by record — so the stream the
 // caller observes is bit-identical to a run with no failures at all.
 #pragma once
 
@@ -111,10 +112,10 @@ class Client {
 
   // Ships one batch of sampling ticks (blocking write). The client
   // stamps batch.batch_seq with the session's next sequence number and
-  // retains the encoded frame until the daemon acknowledges it. Encodes
-  // into a member scratch buffer, so a steady-state streaming loop
-  // performs no allocation once buffers reach their high-water sizes
-  // (the replay buffer recycles popped slots).
+  // retains the encoded frame until the daemon acknowledges it. The frame
+  // is encoded straight into its replay-buffer entry and sent from there;
+  // the buffer recycles acknowledged entries, so a steady-state streaming
+  // loop performs no allocation once they reach their high-water sizes.
   void send_batch(SampleBatch& batch);
 
   // All decisions that have already arrived, without blocking.
@@ -146,7 +147,9 @@ class Client {
   // Drains complete frames from the assembler into decisions_ (zero-copy
   // decode); throws ProtocolError on an unexpected frame type.
   void buffer_decisions();
-  // Dedup + ordering gate for one received DECISION.
+  // Unpacks one DECISION block through on_decision, record by record.
+  void on_decisions(std::span<const std::uint8_t> payload);
+  // Dedup + ordering gate for one received decision.
   void on_decision(const DecisionFrame& d);
   void on_ack(const AckFrame& ack);
   // Sends HELLO from hello_req_ (+ resume token), applies the
@@ -160,11 +163,14 @@ class Client {
   auto with_resilience(Op&& op) -> decltype(op());
   // Blocks until the replay buffer has room (processing ACKs).
   void ensure_pending_space();
+  // The send_batch/send_aggregate body: encode(bytes) appends the frame
+  // carrying sequence `seq`, which is retained until ACKed and sent.
+  template <typename Encode>
+  void send_sequenced(std::uint64_t seq, Encode encode);
 
   int fd_ = -1;
   FrameAssembler assembler_;
   std::deque<DecisionFrame> decisions_;
-  std::vector<std::uint8_t> send_scratch_;  // send_batch encode buffer
 
   RetryPolicy policy_ = RetryPolicy::none();
   std::string host_;

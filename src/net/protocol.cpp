@@ -1,8 +1,12 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+#include <utility>
+
+#include "util/bytes.h"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -53,6 +57,15 @@ std::uint32_t load_le32(const std::uint8_t* p) noexcept {
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+void store_le32(std::uint8_t* p, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i)
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
+}
+
+std::uint16_t load_le16(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 
 // Advances the (pre-inverted) CRC state `c` over n bytes, 8 per step.
@@ -194,11 +207,14 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
 void put_f64_array(std::vector<std::uint8_t>& out,
                    std::span<const double> vals) {
   if (vals.empty()) return;
-  const std::size_t at = out.size();
-  out.resize(at + vals.size() * 8);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data() + at, vals.data(), vals.size() * 8);
+    // The doubles' own bytes, copied once (resize + memcpy would write
+    // every byte twice).
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(vals.data());
+    out.insert(out.end(), bytes, bytes + vals.size() * 8);
   } else {
+    const std::size_t at = out.size();
+    out.resize(at + vals.size() * 8);
     std::uint8_t* dst = out.data() + at;
     for (const double v : vals) {
       const auto u = std::bit_cast<std::uint64_t>(v);
@@ -261,21 +277,6 @@ void PayloadReader::skip_f64(std::size_t n) {
   // Same failure as n read_f64 calls: the first value that cannot be
   // fully read reports a truncated u64.
   if (remaining() < n * 8) malformed("truncated u64");
-  pos_ += n * 8;
-}
-
-void PayloadReader::read_f64_array(double* dst, std::size_t n) {
-  if (remaining() < n * 8) malformed("truncated u64");
-  if constexpr (std::endian::native == std::endian::little) {
-    if (n != 0) std::memcpy(dst, data_.data() + pos_, n * 8);
-  } else {
-    for (std::size_t v = 0; v < n; ++v) {
-      std::uint64_t u = 0;
-      for (int i = 0; i < 8; ++i)
-        u |= static_cast<std::uint64_t>(data_[pos_ + v * 8 + i]) << (8 * i);
-      dst[v] = std::bit_cast<double>(u);
-    }
-  }
   pos_ += n * 8;
 }
 
@@ -469,74 +470,91 @@ std::vector<std::uint8_t> encode_sample_batch(const SampleBatch& batch) {
 }
 
 // hpcap-lint: hot-path
+SampleBatchShape scan_sample_batch(std::span<const std::uint8_t> payload,
+                                   std::size_t tiers, std::size_t dim) {
+  PayloadReader r(payload);
+  SampleBatchShape shape;
+  shape.batch_seq = r.read_u64();
+  shape.first_tick = r.read_u32();
+  shape.ticks = checked_count(r.read_u16(), kMaxTicksPerBatch, "tick");
+  for (std::size_t t = 0; t < shape.ticks; ++t) {
+    const std::size_t n = checked_count(r.read_u16(), kMaxTiers, "tier");
+    if (tiers != 0 && n != tiers && shape.mismatch == nullptr)
+      shape.mismatch = "tick tier count mismatch";
+    shape.slots += n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (r.read_u8() == 0) continue;
+      const std::size_t width =
+          checked_count(r.read_u16(), kMaxRowDim, "row");
+      if (dim != 0 && width != dim && shape.mismatch == nullptr)
+        shape.mismatch = "slot width mismatch";
+      r.skip_f64(width);
+      shape.values += width;
+    }
+  }
+  r.expect_done("SAMPLE_BATCH");
+  return shape;
+}
+
+SampleBatchReader::SampleBatchReader(
+    std::span<const std::uint8_t> payload) noexcept
+    : at_(payload.data() + 14) {}  // past batch_seq, first_tick, count
+
+// hpcap-lint: hot-path
+std::size_t SampleBatchReader::next_tick() noexcept {
+  const std::size_t n = load_le16(at_);
+  at_ += 2;
+  return n;
+}
+
+// hpcap-lint: hot-path
+SampleBatchReader::Slot SampleBatchReader::next_slot() noexcept {
+  Slot slot;
+  slot.present = *at_++ != 0;
+  if (!slot.present) return slot;
+  const std::size_t bytes = std::size_t{8} * load_le16(at_);
+  slot.values = {at_ + 2, bytes};
+  at_ += 2 + bytes;
+  return slot;
+}
+
+// hpcap-lint: hot-path
 SampleBatchView decode_sample_batch_view(
     std::span<const std::uint8_t> payload, BatchArena& arena) {
-  // Pass 1 — scan: validate structure and count ticks/slots/values so the
-  // arena arrays can be sized exactly once (no growth reallocation, and a
-  // hostile count never drives a speculative over-allocation).
-  std::size_t total_slots = 0;
-  std::size_t total_values = 0;
-  std::uint64_t batch_seq = 0;
-  std::uint32_t first_tick = 0;
-  std::size_t num_ticks = 0;
-  {
-    PayloadReader scan(payload);
-    batch_seq = scan.read_u64();
-    first_tick = scan.read_u32();
-    num_ticks = checked_count(scan.read_u16(), kMaxTicksPerBatch, "tick");
-    for (std::size_t t = 0; t < num_ticks; ++t) {
-      const std::size_t tiers =
-          checked_count(scan.read_u16(), kMaxTiers, "tier");
-      total_slots += tiers;
-      for (std::size_t i = 0; i < tiers; ++i) {
-        if (scan.read_u8() == 0) continue;
-        const std::size_t dim =
-            checked_count(scan.read_u16(), kMaxRowDim, "row");
-        scan.skip_f64(dim);
-        total_values += dim;
-      }
-    }
-    scan.expect_done("SAMPLE_BATCH");
-  }
-
-  // Pass 2 — fill by index into the exactly-sized arena. resize() only
-  // allocates until each array reaches its high-water mark; after that a
-  // connection's steady-state decodes are allocation-free.
-  arena.ticks_.resize(num_ticks);
+  // The scan validates the structure and counts ticks/slots/values, so
+  // the arena arrays are sized exactly once (no growth reallocation, and
+  // a hostile count never drives a speculative over-allocation).
+  const SampleBatchShape shape = scan_sample_batch(payload);
+  arena.ticks_.resize(shape.ticks);
   // Both counts are bounded by the scanned payload itself — every slot
   // costs at least one byte and every value eight — so neither can
   // exceed kMaxPayload regardless of what the length fields claim.
-  arena.slots_.resize(total_slots);    // hpcap-lint: allow(bounded-decode)
-  arena.values_.resize(total_values);  // hpcap-lint: allow(bounded-decode)
-  PayloadReader r(payload);
-  SampleBatchView batch;
-  (void)r.read_u64();  // batch_seq, read in pass 1
-  batch.first_tick = r.read_u32();
-  (void)r.read_u16();  // tick count, validated in pass 1
-  std::size_t slot_at = 0;
-  std::size_t value_at = 0;
-  for (std::size_t t = 0; t < num_ticks; ++t) {
-    const std::size_t tiers = r.read_u16();
-    TierSlotView* tick_slots = arena.slots_.data() + slot_at;
-    for (std::size_t i = 0; i < tiers; ++i) {
-      TierSlotView& slot = tick_slots[i];
-      slot.present = r.read_u8() != 0;
-      if (!slot.present) {
-        slot.values = {};
-        continue;
+  arena.slots_.resize(shape.slots);    // hpcap-lint: allow(bounded-decode)
+  arena.values_.resize(shape.values);  // hpcap-lint: allow(bounded-decode)
+  SampleBatchReader in(payload);
+  TierSlotView* slot = arena.slots_.data();
+  double* vals = arena.values_.data();
+  for (TickView& tick : arena.ticks_) {
+    const std::size_t n = in.next_tick();
+    tick.tiers = {slot, n};
+    for (std::size_t i = 0; i < n; ++i, ++slot) {
+      const SampleBatchReader::Slot s = in.next_slot();
+      const std::size_t width = s.values.size() / 8;
+      if constexpr (std::endian::native == std::endian::little) {
+        if (width != 0) std::memcpy(vals, s.values.data(), s.values.size());
+      } else {
+        for (std::size_t v = 0; v < width; ++v)
+          vals[v] = util::load_le_f64(s.values.data() + 8 * v);
       }
-      const std::size_t dim = r.read_u16();
-      double* vals = arena.values_.data() + value_at;
-      r.read_f64_array(vals, dim);
-      slot.values = {vals, dim};
-      value_at += dim;
+      slot->present = s.present;
+      slot->values = {vals, width};
+      vals += width;
     }
-    arena.ticks_[t].tiers = {tick_slots, tiers};
-    slot_at += tiers;
   }
-  batch.ticks = {arena.ticks_.data(), num_ticks};
-  batch.batch_seq = batch_seq;
-  batch.first_tick = first_tick;
+  SampleBatchView batch;
+  batch.batch_seq = shape.batch_seq;
+  batch.first_tick = shape.first_tick;
+  batch.ticks = arena.ticks_;
   return batch;
 }
 
@@ -564,18 +582,62 @@ SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload) {
 // --- DECISION ------------------------------------------------------------
 
 // hpcap-lint: hot-path
+void encode_decision_block_into(std::span<const DecisionFrame> block,
+                                std::vector<std::uint8_t>& out) {
+  if (block.empty() || block.size() > kMaxDecisionBlock)
+    throw ProtocolError("wire protocol: DECISION block of " +
+                        std::to_string(block.size()) + " windows");
+  const std::size_t f = begin_frame(out, FrameType::kDecision);
+  const std::uint32_t first = block.front().window_index;
+  put_u32(out, first);
+  put_u16(out, static_cast<std::uint16_t>(block.size()));
+  // Records are fixed-width: size the payload once and store in place.
+  const std::size_t at = out.size();
+  out.resize(at + block.size() * kDecisionRecordSize);
+  std::uint8_t* p = out.data() + at;
+  for (std::size_t i = 0; i < block.size(); ++i, p += kDecisionRecordSize) {
+    const DecisionFrame& d = block[i];
+    if (d.window_index != first + i)
+      throw ProtocolError("wire protocol: DECISION block windows are not "
+                          "consecutive");
+    p[0] = d.state;
+    p[1] = d.confident;
+    p[2] = d.degraded;
+    p[3] = 0;
+    store_le32(p + 4, static_cast<std::uint32_t>(d.hc));
+    store_le32(p + 8, static_cast<std::uint32_t>(d.bottleneck_tier));
+    store_le32(p + 12, static_cast<std::uint32_t>(d.staleness));
+  }
+  end_frame(out, f);
+}
+
+DecisionBlock decode_decision_block(std::span<const std::uint8_t> payload) {
+  PayloadReader r(payload);
+  DecisionBlock block;
+  const std::uint32_t first = r.read_u32();
+  const std::size_t count = r.read_u16();
+  if (count == 0 || count > kMaxDecisionBlock)
+    malformed("DECISION: block count " + std::to_string(count) +
+              " outside 1.." + std::to_string(kMaxDecisionBlock));
+  for (std::size_t i = 0; i < count; ++i) {
+    DecisionFrame& d = block.records[i];
+    d.window_index = first + static_cast<std::uint32_t>(i);
+    d.state = r.read_u8();
+    d.confident = r.read_u8();
+    d.degraded = r.read_u8();
+    if (r.read_u8() != 0) malformed("DECISION: nonzero reserved byte");
+    d.hc = r.read_i32();
+    d.bottleneck_tier = r.read_i32();
+    d.staleness = r.read_i32();
+  }
+  r.expect_done("DECISION");
+  block.count = count;
+  return block;
+}
+
 void encode_decision_into(const DecisionFrame& d,
                           std::vector<std::uint8_t>& out) {
-  const std::size_t f = begin_frame(out, FrameType::kDecision);
-  put_u32(out, d.window_index);
-  put_u8(out, d.state);
-  put_u8(out, d.confident);
-  put_u8(out, d.degraded);
-  put_u8(out, 0);
-  put_i32(out, d.hc);
-  put_i32(out, d.bottleneck_tier);
-  put_i32(out, d.staleness);
-  end_frame(out, f);
+  encode_decision_block_into({&d, 1}, out);
 }
 
 std::vector<std::uint8_t> encode_decision(const DecisionFrame& d) {
@@ -585,18 +647,11 @@ std::vector<std::uint8_t> encode_decision(const DecisionFrame& d) {
 }
 
 DecisionFrame decode_decision(std::span<const std::uint8_t> payload) {
-  PayloadReader r(payload);
-  DecisionFrame d;
-  d.window_index = r.read_u32();
-  d.state = r.read_u8();
-  d.confident = r.read_u8();
-  d.degraded = r.read_u8();
-  if (r.read_u8() != 0) malformed("DECISION: nonzero reserved byte");
-  d.hc = r.read_i32();
-  d.bottleneck_tier = r.read_i32();
-  d.staleness = r.read_i32();
-  r.expect_done("DECISION");
-  return d;
+  const DecisionBlock block = decode_decision_block(payload);
+  if (block.count != 1)
+    malformed("DECISION: " + std::to_string(block.count) +
+              " records where one was expected");
+  return block.records[0];
 }
 
 // --- ACK -----------------------------------------------------------------
@@ -881,29 +936,50 @@ AggregateBatch decode_aggregate_batch(
 
 // --- FrameAssembler ------------------------------------------------------
 
+FrameAssembler::FrameAssembler(FrameAssembler&& other) noexcept
+    : buf_(std::move(other.buf_)),
+      start_(std::exchange(other.start_, 0)),
+      end_(std::exchange(other.end_, 0)) {}
+
+FrameAssembler& FrameAssembler::operator=(FrameAssembler&& other) noexcept {
+  buf_ = std::move(other.buf_);
+  start_ = std::exchange(other.start_, 0);
+  end_ = std::exchange(other.end_, 0);
+  return *this;
+}
+
+// hpcap-lint: hot-path
+std::span<std::uint8_t> FrameAssembler::prepare(std::size_t min) {
+  // All bookkeeping that moves or drops bytes happens here, never in
+  // next_ref(): spans handed out since the last prepare stay valid until
+  // this call.
+  if (start_ == end_) start_ = end_ = 0;  // all consumed: restart in front
+  if (buf_.size() - end_ < min) {
+    // Slide the unconsumed tail (a partial frame) to the front, and grow
+    // only if that still leaves too little room. Growth zero-fills just
+    // the new capacity, once; steady-state reads fill nothing.
+    if (start_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + start_, end_ - start_);
+      end_ -= start_;
+      start_ = 0;
+    }
+    if (buf_.size() - end_ < min)
+      buf_.resize(std::max(2 * buf_.size(), end_ + min));
+  }
+  return {buf_.data() + end_, buf_.size() - end_};
+}
+
 // hpcap-lint: hot-path
 void FrameAssembler::append(const std::uint8_t* data, std::size_t n) {
-  // All bookkeeping that moves or drops bytes happens here, never in
-  // next_ref(): spans handed out since the last append stay valid until
-  // this call.
-  if (start_ == buf_.size()) {
-    // Everything consumed: restart at the front (capacity retained).
-    buf_.clear();
-    start_ = 0;
-  } else if (start_ > 4096 && start_ > buf_.size() / 2) {
-    // Compact once the consumed prefix dominates, so the buffer does not
-    // grow without bound on a long-lived connection.
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(start_));
-    start_ = 0;
-  }
-  buf_.insert(buf_.end(), data, data + n);
+  if (n == 0) return;
+  std::memcpy(prepare(n).data(), data, n);
+  commit(n);
 }
 
 // hpcap-lint: hot-path
 std::optional<FrameRef> FrameAssembler::next_ref() {
   const std::span<const std::uint8_t> pending(buf_.data() + start_,
-                                              buf_.size() - start_);
+                                              end_ - start_);
   const auto header = peek_header(pending);
   if (!header) return std::nullopt;
   const std::size_t body = kHeaderSize + header->payload_size;

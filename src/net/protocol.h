@@ -7,7 +7,7 @@
 //
 //   header (12 bytes, all integers little-endian on the wire):
 //     u32 magic        0x48504341 ("ACPH" on the wire, "HPCA" as a word)
-//     u8  version      kProtocolVersion (2); any other value is malformed
+//     u8  version      kProtocolVersion (3); any other value is malformed
 //     u8  type         FrameType
 //     u16 reserved     must be 0
 //     u32 payload_size <= kMaxPayload
@@ -40,8 +40,12 @@
 //               present ? (u16 dim, f64 values[dim]) : ()
 //               A missing slot (present=0) maps to
 //               InstanceAggregator::mark_missing — dropped read / blackout.
-//   DECISION rep: u32 window_index, u8 state, u8 confident, u8 degraded,
-//               u8 reserved, i32 hc, i32 bottleneck_tier, i32 staleness
+//   DECISION rep: one block of consecutive decided windows:
+//               u32 first_window, u16 count (1..kMaxDecisionBlock), then
+//               count 16-byte records, record i for window
+//               first_window + i: u8 state, u8 confident, u8 degraded,
+//               u8 reserved (0), i32 hc, i32 bottleneck_tier,
+//               i32 staleness
 //   STATS req:  empty.  STATS rep: u32 count, count x (str key, u64 value)
 //   RELOAD req: str path ("" = reload the daemon's original model path)
 //   RELOAD rep: u8 ok, u32 model_version, str message
@@ -70,8 +74,8 @@
 //                 each in the subscribed synopsis order — 0 = abstain
 //                 (synopsis invalid this window), 1 = valid vote 0,
 //                 2 = valid vote 1. Anything above 2 is malformed.
-//               Decisions flow back as ordinary DECISION frames carrying
-//               the parent's fleet-level verdict.
+//               Decisions flow back as ordinary DECISION blocks carrying
+//               the parent's fleet-level verdicts.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +89,7 @@
 namespace hpcap::net {
 
 inline constexpr std::uint32_t kMagic = 0x48504341u;  // "HPCA"
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 // The on-disk model bundle format the daemon loads (core/model_io.h).
 inline constexpr const char* kModelFormatVersion = "v1";
 
@@ -102,6 +106,10 @@ inline constexpr std::size_t kMaxStatsEntries = 1024;
 // VOTES frame may carry at most this many windows.
 inline constexpr std::size_t kMaxAggSynopses = 1024;
 inline constexpr std::size_t kMaxAggWindows = 4096;
+// Windows one DECISION frame carries at most (core::kObserveBlock, the
+// daemon's decide block), and the bytes each one takes.
+inline constexpr std::size_t kMaxDecisionBlock = 32;
+inline constexpr std::size_t kDecisionRecordSize = 16;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,
@@ -176,10 +184,10 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
 void put_i32(std::vector<std::uint8_t>& out, std::int32_t v);
 void put_f64(std::vector<std::uint8_t>& out, double v);  // IEEE-754 bits
-// Bulk f64 encode: one resize + memcpy on little-endian hosts (the wire
-// byte order), a per-value store loop elsewhere. Equivalent bytes to
-// calling put_f64 per value; the sample-batch hot path depends on the
-// bulk form to keep wire CPU below the pipeline's.
+// Bulk f64 encode: one append of the values' bytes on little-endian
+// hosts (the wire byte order), a per-value store loop elsewhere.
+// Equivalent bytes to calling put_f64 per value; the sample-batch hot
+// path depends on the bulk form to keep wire CPU below the pipeline's.
 void put_f64_array(std::vector<std::uint8_t>& out,
                    std::span<const double> vals);
 void put_string(std::vector<std::uint8_t>& out, const std::string& s);
@@ -197,14 +205,9 @@ class PayloadReader {
   double read_f64();
   std::string read_string();  // u32 length (<= kMaxString) + bytes
 
-  // Skips n f64 values without materializing them (the batch decoder's
-  // counting pass). Throws exactly like n read_f64 calls would.
+  // Skips n f64 values without materializing them (the batch scan).
+  // Throws exactly like n read_f64 calls would.
   void skip_f64(std::size_t n);
-
-  // Bulk f64 decode into dst[0..n): one bounds check + memcpy on
-  // little-endian hosts, a per-value loop elsewhere. Same values and the
-  // same failure behavior as n read_f64 calls.
-  void read_f64_array(double* dst, std::size_t n);
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   // Throws ProtocolError if the payload has trailing bytes — a frame must
@@ -263,6 +266,7 @@ struct SampleBatch {
   std::vector<Tick> ticks;
 };
 
+// One decided window; a DECISION frame carries a block of them.
 struct DecisionFrame {
   std::uint32_t window_index = 0;
   std::uint8_t state = 0;
@@ -271,6 +275,22 @@ struct DecisionFrame {
   std::int32_t hc = 0;
   std::int32_t bottleneck_tier = -1;
   std::int32_t staleness = 0;
+};
+
+// A decoded DECISION payload: `count` consecutive windows, records[i]
+// for window records[0].window_index + i. Fixed storage, so decoding a
+// block allocates nothing.
+struct DecisionBlock {
+  std::size_t count = 0;
+  DecisionFrame records[kMaxDecisionBlock];
+
+  // Views the records, so only on a block that outlives the view: a
+  // range-for over decode_decision_block(...).decisions() would read a
+  // destroyed temporary, and does not compile.
+  std::span<const DecisionFrame> decisions() const& noexcept {
+    return {records, count};
+  }
+  std::span<const DecisionFrame> decisions() const&& = delete;
 };
 
 // Cumulative acknowledgement (daemon -> agent).
@@ -331,7 +351,53 @@ struct ReloadReply {
   std::string message;
 };
 
-// --- zero-copy SAMPLE_BATCH views ----------------------------------------
+// --- SAMPLE_BATCH read in place -------------------------------------------
+
+// What one structural walk of a SAMPLE_BATCH payload found.
+struct SampleBatchShape {
+  std::uint64_t batch_seq = 0;
+  std::uint32_t first_tick = 0;
+  std::size_t ticks = 0;
+  std::size_t slots = 0;   // tier slots over all ticks
+  std::size_t values = 0;  // f64 values over all present slots
+  // The first departure from the expected shape in payload order, or
+  // null: "tick tier count mismatch" or "slot width mismatch".
+  const char* mismatch = nullptr;
+};
+
+// The one structural check of a SAMPLE_BATCH payload, shared by every
+// decoder and by hpcapd: count caps, truncation and trailing bytes throw
+// ProtocolError. It reads no sample value. With `tiers` (and `dim`)
+// non-zero it also compares each tick's tier count (and each present
+// slot's width) against them and reports the first mismatch in
+// `mismatch` instead of throwing, so the caller decides where that check
+// falls among its own (hpcapd dedups a replayed batch before judging its
+// shape).
+SampleBatchShape scan_sample_batch(std::span<const std::uint8_t> payload,
+                                   std::size_t tiers = 0,
+                                   std::size_t dim = 0);
+
+// Walks a payload that scan_sample_batch accepted, tick by tick and slot
+// by slot, in place: it neither copies nor bounds-checks (the scan did).
+// Reading more ticks or slots than the scan counted is undefined.
+class SampleBatchReader {
+ public:
+  struct Slot {
+    bool present = false;
+    // `dim` little-endian IEEE-754 doubles at any alignment; empty when
+    // the slot is missing.
+    std::span<const std::uint8_t> values;
+  };
+
+  explicit SampleBatchReader(std::span<const std::uint8_t> payload) noexcept;
+  // Starts the next tick; returns its tier count.
+  std::size_t next_tick() noexcept;
+  // The current tick's next tier slot.
+  Slot next_slot() noexcept;
+
+ private:
+  const std::uint8_t* at_;
+};
 
 // Span-based mirrors of TierSlot/Tick/SampleBatch. All spans point into
 // the BatchArena passed to decode_sample_batch_view and stay valid until
@@ -369,8 +435,7 @@ class BatchArena {
 };
 
 // Decodes a SAMPLE_BATCH payload into `arena`, returning spans into it.
-// Validation (caps, truncation, trailing bytes) is identical to
-// decode_sample_batch — same errors, same messages.
+// Validation is scan_sample_batch's, as for decode_sample_batch.
 SampleBatchView decode_sample_batch_view(
     std::span<const std::uint8_t> payload, BatchArena& arena);
 
@@ -397,6 +462,13 @@ void encode_sample_batch_into(const SampleBatch& batch,
                               std::vector<std::uint8_t>& out);
 SampleBatch decode_sample_batch(std::span<const std::uint8_t> payload);
 
+// One DECISION frame for `block`: 1..kMaxDecisionBlock decisions of
+// consecutive windows (anything else throws ProtocolError).
+void encode_decision_block_into(std::span<const DecisionFrame> block,
+                                std::vector<std::uint8_t>& out);
+DecisionBlock decode_decision_block(std::span<const std::uint8_t> payload);
+// A single decision as a one-record block; decode_decision refuses a
+// payload that carries any other count.
 std::vector<std::uint8_t> encode_decision(const DecisionFrame& d);
 void encode_decision_into(const DecisionFrame& d,
                           std::vector<std::uint8_t>& out);
@@ -459,18 +531,34 @@ AggregateBatch decode_aggregate_batch(std::span<const std::uint8_t> payload);
 //
 // next_ref() is the zero-copy form: the returned FrameRef's payload is a
 // span into the receive buffer, valid across further next_ref() calls
-// but invalidated by the next append(). next() copies the payload out
-// and has no lifetime string attached.
+// but invalidated by the next append() or prepare(). next() copies the
+// payload out and has no lifetime string attached.
+//
+// prepare()/commit() read in place: a socket reader receives straight
+// into the buffer's free tail instead of into a buffer of its own that
+// append() would copy again.
 class FrameAssembler {
  public:
+  FrameAssembler() = default;
+  FrameAssembler(FrameAssembler&& other) noexcept;
+  FrameAssembler& operator=(FrameAssembler&& other) noexcept;
+
   void append(const std::uint8_t* data, std::size_t n);
+  // Free space for at least `min` more bytes after the buffered ones
+  // (compacting or growing first). It is not zero-filled. Write into it,
+  // then commit() the count actually written.
+  std::span<std::uint8_t> prepare(std::size_t min);
+  void commit(std::size_t n) noexcept { end_ += n; }
   std::optional<Frame> next();
   std::optional<FrameRef> next_ref();
-  std::size_t buffered() const noexcept { return buf_.size() - start_; }
+  std::size_t buffered() const noexcept { return end_ - start_; }
 
  private:
+  // buf_[start_, end_) is buffered; the vector only ever grows, so its
+  // size is the capacity and bytes past end_ are scratch.
   std::vector<std::uint8_t> buf_;
-  std::size_t start_ = 0;  // consumed prefix; reset/compacted in append()
+  std::size_t start_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace hpcap::net

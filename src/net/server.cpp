@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -53,6 +54,13 @@ constexpr std::size_t kMaxIov = 64;
 // sendmsg's worth, so a wakeup's decisions + ACK never allocate.
 constexpr std::size_t kSparePool = kMaxIov;
 
+// Bytes asked of each recv: the assembler keeps at least this much free
+// space ahead of the socket read.
+constexpr std::size_t kReadChunk = 65536;
+
+// A decide block always fits one DECISION frame.
+static_assert(core::kObserveBlock <= kMaxDecisionBlock);
+
 // Cadence of the cross-shard resume retry timer, and the slice of the
 // handshake budget a deferred resume may wait for its eviction to land.
 constexpr double kResumeRetryPeriod = 0.01;
@@ -72,9 +80,6 @@ struct SessionState {
   std::uint32_t model_version = 0;
   // Slots -> windows -> validation -> batched decide (core/stream.h).
   std::optional<core::StreamPipeline> pipeline;
-  // Zero-copy SAMPLE_BATCH decode backing store; reaches its high-water
-  // size after a few frames and then decodes allocation-free.
-  BatchArena arena;
   std::uint32_t window_index = 0;  // index of the next decided window
   // Leaf mode: the coverage-order slice of one window's GPV, as the
   // uplink's offer() wants it; sized at HELLO when an uplink is set.
@@ -114,11 +119,6 @@ struct SessionState {
     }
     window_index = d.window_index + 1;
   }
-
-  // The i-th oldest retained decision (window replay_first_window + i).
-  const DecisionFrame& replayed(std::size_t i) const {
-    return replay[(replay_head + i) % replay.size()];
-  }
 };
 
 // One agent connection: the socket half of a session. Before HELLO it is
@@ -137,8 +137,12 @@ struct Server::Connection {
     FrameType type;
     std::vector<std::uint8_t> bytes;
     std::size_t offset = 0;
+    // What the frame counts against max_write_queue: its decisions for
+    // a DECISION block, 1 for a control frame.
+    std::size_t weight = 1;
   };
   std::deque<OutFrame> write_queue;
+  std::size_t queued = 0;  // total weight of write_queue
   // Fully-sent (or shed) frame buffers, cleared but with capacity intact,
   // waiting to be reused by the next encode (bounded by kSparePool).
   std::vector<std::vector<std::uint8_t>> spares;
@@ -153,6 +157,13 @@ struct Server::Connection {
   std::uint64_t sheds = 0;  // for the rate-limited shed warning
 
   std::unique_ptr<SessionState> session;  // valid once state == kStreaming
+
+  // The queue's weight less a frame the socket has begun to take: that
+  // one is past the bound, as it can be neither shed nor recalled.
+  std::size_t unsent() const noexcept {
+    if (write_queue.empty() || write_queue.front().offset == 0) return queued;
+    return queued - write_queue.front().weight;
+  }
 
   // Resume replay cursor: while `replaying`, retained decisions from
   // `replay_next` onward are fed into the write queue at a watermark
@@ -500,13 +511,15 @@ void Server::handle_io(int fd, bool readable, bool writable) {
 
   if (!readable) return;
   Connection& c = *it->second;
-  std::uint8_t buf[65536];
   for (;;) {
-    const ssize_t n = io::recv_retry(fd, buf, sizeof buf, 0);
+    // Read in place: the bytes land in the assembler's free tail, where
+    // the frames are checked and decoded without another copy.
+    const std::span<std::uint8_t> room = c.assembler.prepare(kReadChunk);
+    const ssize_t n = io::recv_retry(fd, room.data(), room.size(), 0);
     if (n > 0) {
       c.last_activity = loop_.now();
-      c.assembler.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
+      c.assembler.commit(static_cast<std::size_t>(n));
+      if (static_cast<std::size_t>(n) < room.size()) break;
       continue;
     }
     if (n == 0) {
@@ -533,8 +546,8 @@ void Server::handle_io(int fd, bool readable, bool writable) {
         return;
       }
       // Zero-copy dispatch: the FrameRef payload is a span into the
-      // assembler's buffer, valid through handle_frame (nothing appends
-      // to this assembler until the next recv above).
+      // assembler's buffer, valid through handle_frame (nothing reads
+      // into this assembler until the next recv above).
       auto frame = live.assembler.next_ref();
       if (!frame) break;
       ++stats_.frames_in;
@@ -548,9 +561,9 @@ void Server::handle_io(int fd, bool readable, bool writable) {
   }
 
   // Deferred flush: every frame the handlers enqueued this wakeup —
-  // DECISIONs, ACKs, control replies — leaves here in one scatter-gather
-  // write. Re-find the fd first — a handler may have closed or doomed the
-  // connection.
+  // DECISION blocks, ACKs, control replies — leaves here in one
+  // scatter-gather write. Re-find the fd first — a handler may have
+  // closed or doomed the connection.
   const auto fin = conns_.find(fd);
   if (fin == conns_.end()) return;
   flush_writes(*fin->second);
@@ -851,13 +864,14 @@ void Server::handle_batch(Connection& c,
   if (s.aggregate)
     throw ProtocolError(
         "wire protocol: SAMPLE_BATCH on an aggregate session");
-  const SampleBatchView batch = decode_sample_batch_view(payload, s.arena);
   const std::size_t tiers = static_cast<std::size_t>(cfg_.num_tiers);
   core::StreamPipeline& pipeline = *s.pipeline;
+  const SampleBatchShape shape =
+      scan_sample_batch(payload, tiers, pipeline.options().dim);
 
-  if (batch.batch_seq == 0)
+  if (shape.batch_seq == 0)
     throw ProtocolError("wire protocol: zero batch sequence");
-  if (batch.batch_seq <= s.last_applied_seq) {
+  if (shape.batch_seq <= s.last_applied_seq) {
     // A replay of a batch already applied (client retransmitting after
     // resume): acknowledge it again and touch nothing else — this is
     // the dedup half of exactly-once.
@@ -865,27 +879,26 @@ void Server::handle_batch(Connection& c,
     enqueue_ack(c);
     return;
   }
-  if (batch.batch_seq != s.last_applied_seq + 1)
+  if (shape.batch_seq != s.last_applied_seq + 1)
     throw ProtocolError("wire protocol: batch sequence gap: expected " +
                         std::to_string(s.last_applied_seq + 1) + ", got " +
-                        std::to_string(batch.batch_seq));
+                        std::to_string(shape.batch_seq));
+  // The scan has checked every tick and slot, so the application loop
+  // below cannot throw midway: a batch is applied whole or not at all,
+  // which exactly-once semantics depend on (last_applied_seq covers
+  // entire batches).
+  if (shape.mismatch != nullptr)
+    throw ProtocolError(std::string("wire protocol: ") + shape.mismatch);
 
-  // Structural pre-validation so the application loop below cannot throw
-  // midway: a batch is applied whole or not at all, which exactly-once
-  // semantics depend on (last_applied_seq covers entire batches).
-  for (const TickView& tick : batch.ticks) {
-    if (tick.tiers.size() != tiers)
-      throw ProtocolError("wire protocol: tick tier count mismatch");
-    for (const TierSlotView& slot : tick.tiers)
-      if (slot.present && slot.values.size() != pipeline.options().dim)
-        throw ProtocolError("wire protocol: slot width mismatch");
-  }
-
-  for (const TickView& tick : batch.ticks) {
+  // One pass over the payload: each present slot's values are loaded
+  // from the frame bytes straight into the window sums.
+  SampleBatchReader in(payload);
+  for (std::size_t k = 0; k < shape.ticks; ++k) {
+    in.next_tick();  // == tiers, as the scan checked
     for (std::size_t t = 0; t < tiers; ++t) {
-      const TierSlotView& slot = tick.tiers[t];
+      const SampleBatchReader::Slot slot = in.next_slot();
       if (slot.present)
-        pipeline.add_slot(t, slot.values);
+        pipeline.add_slot_le(t, slot.values);
       else
         pipeline.mark_missing(t);
     }
@@ -897,17 +910,17 @@ void Server::handle_batch(Connection& c,
       flush_decisions(c);
       // Mid-frame: a giant frame's first blocks need not wait for its
       // last. (The final block rides with the ACK in handle_io's flush.)
-      if (&tick != &batch.ticks.back()) flush_writes(c);
+      if (k + 1 != shape.ticks) flush_writes(c);
     }
   }
   flush_decisions(c);
   const core::StreamPipeline::Counts n = pipeline.take_counts();
-  stats_.ticks_in += batch.ticks.size();
+  stats_.ticks_in += shape.ticks;
   stats_.slots_present += n.slots_present;
   stats_.slots_missing += n.slots_missing;
   stats_.windows_discarded += n.windows_discarded;
   stats_.rows_rejected += n.rows_rejected;
-  s.last_applied_seq = batch.batch_seq;
+  s.last_applied_seq = shape.batch_seq;
   enqueue_ack(c);
 }
 
@@ -1085,16 +1098,28 @@ void Server::fan_out_fleet(std::vector<DecisionFrame> decided) {
 // hpcap-lint: hot-path
 void Server::deliver_fleet_local(Connection& c,
                                  std::span<const DecisionFrame> decided) {
-  for (const DecisionFrame& frame : decided) emit_decision(c, frame);
+  emit_decisions(c, decided);
   flush_writes(c);
 }
 
-void Server::emit_decision(Connection& c, const DecisionFrame& frame) {
-  c.session->record(frame, cfg_.decision_replay);
+// hpcap-lint: hot-path
+void Server::emit_decisions(Connection& c,
+                            std::span<const DecisionFrame> decided) {
+  for (const DecisionFrame& d : decided)
+    c.session->record(d, cfg_.decision_replay);
   if (c.replaying) return;
+  for (std::size_t at = 0; at < decided.size(); at += kMaxDecisionBlock)
+    enqueue_decisions(
+        c, decided.subspan(at, std::min(kMaxDecisionBlock,
+                                        decided.size() - at)));
+}
+
+// hpcap-lint: hot-path
+void Server::enqueue_decisions(Connection& c,
+                               std::span<const DecisionFrame> block) {
   auto buf = take_spare(c);
-  encode_decision_into(frame, buf);
-  enqueue(c, FrameType::kDecision, std::move(buf));
+  encode_decision_block_into(block, buf);
+  enqueue(c, FrameType::kDecision, std::move(buf), block.size());
 }
 
 // Permanent retirement of a session (linger expiry, non-resumable close,
@@ -1134,8 +1159,10 @@ void Server::flush_decisions(Connection& c) {
   // themselves are bit-identical either way.
   const bool export_votes =
       uplink_ != nullptr && s.pipeline->options().export_votes;
+  std::array<DecisionFrame, core::kObserveBlock> block;
   for (std::size_t w = 0; w < W; ++w) {
-    const DecisionFrame frame = to_decision_frame(s.window_index, decided[w]);
+    const DecisionFrame& frame = block[w] = to_decision_frame(
+        s.window_index + static_cast<std::uint32_t>(w), decided[w]);
     if (export_votes) {
       // Slice this window's full-width GPV down to the uplink's coverage
       // order; a covered index the local model lacks stays abstaining.
@@ -1152,8 +1179,9 @@ void Server::flush_decisions(Connection& c) {
                      std::span(s.uplink_votes.data(), cov.size()),
                      std::span(s.uplink_valid.data(), cov.size()));
     }
-    emit_decision(c, frame);
   }
+  // The whole decided block leaves as one DECISION frame.
+  emit_decisions(c, std::span(block.data(), W));
 }
 
 void Server::enqueue_ack(Connection& c) {
@@ -1183,7 +1211,7 @@ void Server::feed_replay(Connection& c) {
   SessionState& s = *c.session;
   const std::size_t watermark =
       std::max<std::size_t>(cfg_.max_write_queue / 2, 1);
-  while (c.write_queue.size() < watermark) {
+  while (c.queued < watermark) {
     if (c.replay_next >= s.window_index) {
       // Caught up: fresh decisions enqueue directly again.
       c.replaying = false;
@@ -1196,12 +1224,19 @@ void Server::feed_replay(Connection& c) {
       doom(c, "resume replay overrun");
       return;
     }
-    const std::size_t idx =
-        static_cast<std::size_t>(c.replay_next - s.replay_first_window);
-    auto buf = take_spare(c);
-    encode_decision_into(s.replayed(idx), buf);
-    enqueue(c, FrameType::kDecision, std::move(buf));
-    ++c.replay_next;
+    // One block from the ring at replay_next, as long as it may be: no
+    // more than a frame carries, than is left to replay, than runs
+    // before the ring wraps, or than fits under the watermark. So a
+    // resume point inside a block starts a shorter block.
+    const std::size_t pos =
+        (s.replay_head + (c.replay_next - s.replay_first_window)) %
+        s.replay.size();
+    const std::size_t n = std::min(
+        {kMaxDecisionBlock,
+         static_cast<std::size_t>(s.window_index - c.replay_next),
+         s.replay.size() - pos, watermark - c.queued});
+    enqueue_decisions(c, std::span(s.replay).subspan(pos, n));
+    c.replay_next += static_cast<std::uint32_t>(n);
   }
 }
 
@@ -1384,74 +1419,71 @@ bool Server::resumable() const noexcept {
 }
 
 void Server::enqueue(Connection& c, FrameType type,
-                     std::vector<std::uint8_t> frame) {
+                     std::vector<std::uint8_t> frame, std::size_t weight) {
   if (c.doomed) return;
   if (c.close_after_flush && type == FrameType::kDecision) return;
-  // Flushes are deferred to the end of the wakeup, so a full queue may
-  // only be unsent, not unread: try the socket before shedding or
-  // dropping. (A closing connection skips this — draining its queue
-  // would doom it before this last reply is queued.)
-  if (c.write_queue.size() >= cfg_.max_write_queue && !c.close_after_flush) {
-    flush_writes(c);
-    if (c.doomed) return;
-  }
-  if (c.write_queue.size() >= cfg_.max_write_queue) {
-    // A resumable session is promised exactly-once decision delivery,
-    // and shedding on a connection that stays up would be a silent gap
-    // the client can never detect — it would wait forever for a window
-    // that is not coming. Drop the connection instead: the decisions are
-    // already in the replay ring, and reconnect + resume redelivers
-    // them. (The constructor's decision_replay >= max_write_queue check
-    // keeps the gap coverable.)
-    if (c.session && resumable()) {
-      ++stats_.write_queue_overflows;
-      HPCAP_WARN << "hpcapd: fd " << c.fd
-                 << " not draining decisions; dropping resumable session "
-                    "for replay on reconnect";
-      doom(c, "write queue overflow");
-      return;
-    }
-    // Not resumable: shed the oldest queued DECISION (stale by the time
-    // a stalled agent reads it); control frames always survive.
-    bool shed = false;
-    for (auto it = c.write_queue.begin(); it != c.write_queue.end(); ++it) {
-      if (it->type == FrameType::kDecision && it->offset == 0) {
-        if (c.spares.size() < kSparePool) {
-          it->bytes.clear();
-          c.spares.push_back(std::move(it->bytes));
-        }
-        c.write_queue.erase(it);
-        shed = true;
-        break;
-      }
-    }
-    if (!shed) {
-      if (type == FrameType::kDecision) {
-        // Queue full of unsheddable frames: drop the newcomer instead.
-        ++stats_.decisions_shed;
-        return;
-      }
-      // A control reply with the queue full of control frames: the peer
-      // streams requests without ever reading its socket. The queue
-      // bound is a promise about daemon memory, so the connection is
-      // dropped rather than the queue grown.
-      ++stats_.write_queue_overflows;
-      HPCAP_WARN << "hpcapd: fd " << c.fd
-                 << " write queue full of control frames; dropping peer";
-      doom(c, "write queue overflow");
-      return;
-    }
-    ++stats_.decisions_shed;
-    if (c.sheds++ % 1024 == 0) {
-      HPCAP_WARN << "hpcapd: fd " << c.fd
-                 << " not draining decisions; shedding oldest (total "
-                 << (c.sheds) << ")";
-    }
-  }
   Connection::OutFrame out;
   out.type = type;
   out.bytes = std::move(frame);
+  out.weight = weight;
   c.write_queue.push_back(std::move(out));
+  c.queued += weight;
+  if (c.unsent() <= cfg_.max_write_queue) return;
+  // Flushes are deferred to the end of the wakeup, so an over-full queue
+  // may only be unsent, not unread: try the socket before shedding or
+  // dropping. The bound applies to what the socket will not take.
+  flush_writes(c);
+  if (c.doomed || c.unsent() <= cfg_.max_write_queue) return;
+  // A resumable session is promised exactly-once decision delivery, and
+  // shedding on a connection that stays up would be a silent gap the
+  // client can never detect — it would wait forever for a window that is
+  // not coming. Drop the connection instead: the decisions are already
+  // in the replay ring, and reconnect + resume redelivers them. (The
+  // constructor's decision_replay >= max_write_queue check keeps the gap
+  // coverable.)
+  if (c.session && resumable()) {
+    ++stats_.write_queue_overflows;
+    HPCAP_WARN << "hpcapd: fd " << c.fd
+               << " not draining decisions; dropping resumable session "
+                  "for replay on reconnect";
+    doom(c, "write queue overflow");
+    return;
+  }
+  // Not resumable: shed the oldest unsent DECISION blocks (stale by the
+  // time a stalled agent reads them); control frames always survive.
+  std::uint64_t shed = 0;
+  for (auto it = c.write_queue.begin();
+       it != c.write_queue.end() && c.unsent() > cfg_.max_write_queue;) {
+    if (it->type != FrameType::kDecision || it->offset != 0) {
+      ++it;
+      continue;
+    }
+    shed += it->weight;
+    c.queued -= it->weight;
+    if (c.spares.size() < kSparePool) {
+      it->bytes.clear();
+      c.spares.push_back(std::move(it->bytes));
+    }
+    it = c.write_queue.erase(it);
+  }
+  if (shed > 0) {
+    stats_.decisions_shed += shed;
+    if (c.sheds++ % 1024 == 0) {
+      HPCAP_WARN << "hpcapd: fd " << c.fd
+                 << " not draining decisions; shedding oldest (total "
+                 << c.sheds << ")";
+    }
+  }
+  if (c.unsent() > cfg_.max_write_queue) {
+    // The queue is full of control frames: the peer streams requests
+    // without ever reading its socket. The queue bound is a promise
+    // about daemon memory, so the connection is dropped rather than the
+    // queue grown.
+    ++stats_.write_queue_overflows;
+    HPCAP_WARN << "hpcapd: fd " << c.fd
+               << " write queue full of control frames; dropping peer";
+    doom(c, "write queue overflow");
+  }
 }
 
 std::vector<std::uint8_t> Server::take_spare(Connection& c) {
@@ -1496,6 +1528,7 @@ void Server::flush_writes(Connection& c) {
         }
         left -= remain;
         ++stats_.frames_out;
+        c.queued -= front.weight;
         if (c.spares.size() < kSparePool) {
           front.bytes.clear();
           // Bounded recycling pool — the push_back stops at kSparePool
@@ -1530,6 +1563,7 @@ void Server::doom(Connection& c, const char* why) {
   c.doomed = true;
   c.doom_reason = why;
   c.write_queue.clear();
+  c.queued = 0;
 }
 
 void Server::close_connection(int fd, const char* why) {

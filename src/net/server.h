@@ -6,9 +6,9 @@
 // SAMPLE_BATCH frames. The session feeds every slot to its own
 // core::StreamPipeline (core/stream.h: gap-aware windowing, row
 // validation, batched masked decide) — exactly the in-process
-// degraded-mode chain, behind a socket. Each DECISION produced streams
-// straight back to the agent. The server itself keeps only transport
-// and session bookkeeping.
+// degraded-mode chain, behind a socket. Each decided block streams
+// straight back to the agent as one DECISION frame. The server itself
+// keeps only transport and session bookkeeping.
 //
 // Sessions and connections are distinct objects: the Connection is the
 // socket (deadlines, assembler, write queue) and the SessionState is the
@@ -48,14 +48,16 @@
 // sessions reuse the whole session machinery — tokens, seq dedup,
 // ACKs, linger/resume, replay rings.
 //
-// The receive path is zero-copy end to end: frames are dispatched as
-// FrameRef spans into the connection's assembler buffer, SAMPLE_BATCH
-// payloads decode through a per-session BatchArena (no per-tick
-// allocation after warmup), and the pipeline decides up to
-// core::kObserveBlock closed windows at a time, when its block fills and
-// at the end of every frame. Outbound frames encode into recycled
-// buffers; handlers only enqueue, and a connection's queued frames (a
-// batch's DECISIONs and its ACK together) leave in one scatter-gather
+// The receive path touches each wire byte once: the socket is read
+// straight into the connection's frame assembler, frames are dispatched
+// as FrameRef spans into it, one scan checks a whole SAMPLE_BATCH before
+// anything is applied, and each slot's values are then loaded from the
+// payload into the pipeline's running window sums. The pipeline decides
+// up to core::kObserveBlock closed windows at a time, when its block
+// fills and at the end of every frame, and each decided block leaves as
+// one DECISION frame. Outbound frames encode into recycled buffers;
+// handlers only enqueue, and a connection's queued frames (a batch's
+// DECISION block and its ACK together) leave in one scatter-gather
 // ::sendmsg per event-loop wakeup.
 //
 // Decisions over the wire are bit-identical to the in-process pipeline on
@@ -63,16 +65,17 @@
 // core::MonitorSource, history freshly reset), so concurrent agents
 // cannot perturb each other's predictor state.
 //
-// Flow control: the per-connection write queue is bounded. When an agent
-// stops draining its socket, a resumable session (cfg.session_linger > 0
-// and the daemon not draining) is dropped: its decisions are already in
-// the replay ring, and reconnect + resume redelivers them exactly once
-// (cfg.decision_replay >= cfg.max_write_queue keeps every queued window
-// in the ring). A non-resumable session — session_linger 0, or any
-// session while the daemon drains — sheds its oldest queued DECISION
-// frames instead, with a warning: a stale decision is worthless by the
-// time a stalled agent would read it, mirroring
-// core::OnlineAdapter::max_pending. Control replies
+// Flow control: the per-connection write queue is bounded, counting
+// queued decisions (a DECISION block weighs its record count) plus
+// control frames. When an agent stops draining its socket, a resumable
+// session (cfg.session_linger > 0 and the daemon not draining) is
+// dropped: its decisions are already in the replay ring, and reconnect +
+// resume redelivers them exactly once (cfg.decision_replay >=
+// cfg.max_write_queue keeps every queued window in the ring). A
+// non-resumable session — session_linger 0, or any session while the
+// daemon drains — sheds its oldest unsent DECISION blocks instead, with
+// a warning: a stale decision is worthless by the time a stalled agent
+// would read it, mirroring core::OnlineAdapter::max_pending. Control replies
 // (HELLO/STATS/RELOAD/SHUTDOWN/ACK) are never shed; if the queue fills
 // with control frames a peer refuses to read, the connection is dropped
 // instead, so the bound holds unconditionally. Resume replay is fed
@@ -139,9 +142,10 @@ struct ServerConfig {
   double idle_timeout = 300.0;
   double sweep_period = 1.0;      // deadline-sweep cadence
   double shutdown_grace = 5.0;    // drain budget after SHUTDOWN
-  // Backpressure bound: max frames queued toward one agent before a
-  // resumable session is dropped for replay (or, on a non-resumable one,
-  // the oldest DECISION frames are shed).
+  // Backpressure bound on what one agent's socket will not take: queued
+  // decisions (each DECISION block counts its records) plus control
+  // frames. Past it a resumable session is dropped for replay; a
+  // non-resumable one has its oldest unsent DECISION blocks shed.
   std::size_t max_write_queue = 256;
   // SO_SNDBUF for accepted sockets; 0 = OS default. Tests shrink it so a
   // non-draining agent hits the write-queue bound quickly.
@@ -159,10 +163,11 @@ struct ServerConfig {
   // Seconds a detached session waits for its client to resume before
   // being expired (<= 0 disables lingering: sessions are not resumable).
   double session_linger = 30.0;
-  // DECISION frames retained per session for resume replay; a client
-  // whose resume point has fallen out of this ring cannot resume. Must
-  // be >= max_write_queue, so a session dropped for a full write queue
-  // can always replay every decision that was queued.
+  // Decisions (windows) retained per session for resume replay; a
+  // client whose resume point has fallen out of this ring cannot
+  // resume. Must be >= max_write_queue, which counts decisions too, so a
+  // session dropped for a full write queue can always replay every
+  // decision that was queued.
   std::size_t decision_replay = 8192;
   // Cap on simultaneously lingering sessions; the oldest is expired
   // early when the cap is hit.
@@ -399,8 +404,8 @@ class Server {
   void handle_reload(Connection& c, const ReloadRequest& req);
   void handle_shutdown(Connection& c);
   // Decides every window pending in the session's StreamPipeline,
-  // records them in the replay ring and enqueues the DECISION frames; it
-  // does not flush. In leaf mode also offers each window's GPV to the
+  // records them in the replay ring and enqueues them as one DECISION
+  // block; it does not flush. In leaf mode also offers each window's GPV to the
   // uplink.
   void flush_decisions(Connection& c);
   // Coalesced cumulative ACK: overwrites an unsent ACK at the queue tail
@@ -414,17 +419,20 @@ class Server {
   // fresh one; returned to the pool by flush_writes once fully sent.
   std::vector<std::uint8_t> take_spare(Connection& c);
 
-  // `frame` must be a full encoded frame. On a full queue a resumable
-  // session is doomed for replay; otherwise DECISION frames are
-  // sheddable and everything else is control traffic that survives
-  // unless the queue is full of unread control frames, which dooms the
-  // connection. Callers
-  // batch frames and flush once; the flush points are (a) the end of
-  // handle_io, (b) a core::kObserveBlock decision block filling mid-batch,
-  // (c) here, when the queue is full, before anything is shed or
-  // dropped, and (d) paths that enqueue onto a connection other than the
-  // one being serviced (fleet delivery, mailbox and timer callbacks).
-  void enqueue(Connection& c, FrameType type, std::vector<std::uint8_t> frame);
+  // `frame` must be a full encoded frame; `weight` is what it counts
+  // against cfg.max_write_queue: the decisions of a DECISION block, 1 for
+  // anything else. On an over-full queue a resumable session is doomed
+  // for replay; otherwise DECISION blocks are sheddable and everything
+  // else is control traffic that survives unless the queue is full of
+  // unread control frames, which dooms the connection. Callers batch
+  // frames and flush once; the flush points are (a) the end of
+  // handle_io, (b) a core::kObserveBlock decision block filling
+  // mid-batch, (c) here, when the queue is over-full, before anything is
+  // shed or dropped, and (d) paths that enqueue onto a connection other
+  // than the one being serviced (fleet delivery, mailbox and timer
+  // callbacks).
+  void enqueue(Connection& c, FrameType type, std::vector<std::uint8_t> frame,
+               std::size_t weight = 1);
   // Neither enqueue nor flush_writes ever destroys the Connection —
   // frame handlers up the stack still hold references into it. A send
   // failure (or a drained close_after_flush queue) only marks it doomed;
@@ -458,9 +466,12 @@ class Server {
   // lingering rings directly). Called with group.mu NOT held.
   void fan_out_fleet(std::vector<DecisionFrame> decided);
   void deliver_fleet_local(Connection& c, std::span<const DecisionFrame> d);
-  // Retains a decided window in the session's replay ring and queues its
-  // DECISION, unless a resume replay is feeding the queue from the ring.
-  void emit_decision(Connection& c, const DecisionFrame& frame);
+  // Retains decided windows in the session's replay ring and queues them
+  // as DECISION blocks, unless a resume replay is feeding the queue from
+  // the ring.
+  void emit_decisions(Connection& c, std::span<const DecisionFrame> decided);
+  // Encodes one block of consecutive decisions and queues it.
+  void enqueue_decisions(Connection& c, std::span<const DecisionFrame> block);
   // Permanently retires a session (linger expiry / non-resumable close):
   // aggregate subscriptions unsubscribe and their final degraded windows
   // fan out.

@@ -378,7 +378,9 @@ TEST(BenchSmoke, LoopbackBatchedBeatsUnbatchedTicks) {
 // Wall time for `agents` concurrent sessions each streaming `ticks`
 // through a daemon running `reactors` event loops. The clock starts once
 // every agent thread exists and has completed its HELLO, so it times
-// reactor work, not thread start-up or handshake wake-up latency.
+// reactor work, not thread start-up or handshake wake-up latency, and
+// the agents reuse their batch buffers, so the 2-reactor leg is bound by
+// the reactors rather than by the agents' allocator.
 double sharded_run_ms(const std::string& bundle, std::size_t reactors,
                       int agents, int ticks) {
   constexpr std::uint16_t kWindow = 4;
@@ -432,8 +434,14 @@ double sharded_run_ms(const std::string& bundle, std::size_t reactors,
           return;
         }
         std::size_t decisions = 0;
+        // One batch reused for every send, as a streaming agent keeps it:
+        // its ticks are copied into the vectors it already holds, so the
+        // agent loop does not allocate ~200 tick and slot vectors per
+        // frame inside the timed region. (batch_seq goes back to 0 so the
+        // client stamps the next sequence.)
+        net::SampleBatch batch;
         for (int start = 0; start < ticks; start += 64) {
-          net::SampleBatch batch;
+          batch.batch_seq = 0;
           batch.first_tick = static_cast<std::uint32_t>(start);
           const int end = std::min(start + 64, ticks);
           batch.ticks.assign(stream.begin() + start, stream.begin() + end);

@@ -11,8 +11,9 @@
 //
 // It also pins down the "zero-copy" half of the contract with a counting
 // allocator (same pattern as core_hotpath_test): the warm batched observe
-// path, the warm StreamPipeline and the warm BatchArena wire decode
-// perform no heap allocation.
+// path, the warm StreamPipeline, the warm BatchArena wire decode and the
+// daemon's fused ingest (SAMPLE_BATCH scan, in-place apply, DECISION
+// block encode) perform no heap allocation.
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include "core/pipeline.h"
 #include "core/stream.h"
 #include "counters/fault.h"
+#include "net/aggregate.h"
 #include "net/protocol.h"
 #include "util/rng.h"
 
@@ -716,6 +718,79 @@ TEST(BatchedZeroAlloc, WarmArenaDecodeIsAllocationFree) {
   }
   EXPECT_EQ(observed, 0)
       << "decode_sample_batch_view allocated after arena warm-up";
+}
+
+TEST(BatchedZeroAlloc, WarmFusedIngestIsAllocationFree) {
+#if !HPCAP_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under ASan/TSan";
+#endif
+  // hpcapd's per-batch path: one structural scan of the SAMPLE_BATCH
+  // payload, every slot read in place into the StreamPipeline, and each
+  // decided block encoded as one DECISION frame into a recycled buffer.
+  net::SampleBatch batch;
+  Rng rng(41);
+  for (int k = 0; k < 64; ++k) {
+    net::Tick tick;
+    tick.tiers.resize(kTiers);
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      tick.tiers[t].present = (k + static_cast<int>(t)) % 9 != 0;
+      if (tick.tiers[t].present)
+        for (std::size_t a = 0; a < kDim; ++a)
+          tick.tiers[t].values.push_back(rng.uniform());
+    }
+    batch.ticks.push_back(std::move(tick));
+  }
+  const std::vector<std::uint8_t> frame = net::encode_sample_batch(batch);
+  const std::span<const std::uint8_t> payload =
+      std::span(frame).subspan(net::kHeaderSize,
+                               frame.size() - net::kHeaderSize -
+                                   net::kCrcSize);
+
+  CapacityMonitor monitor = make_monitor(ml::LearnerKind::kTan);
+  train(monitor);
+  StreamPipeline p(std::move(monitor), stream_options());
+  std::uint32_t window = 0;
+  net::DecisionFrame block[net::kMaxDecisionBlock];
+  std::vector<std::uint8_t> out;
+  std::size_t sent = 0;
+  const auto flush = [&] {
+    const auto decided = p.decide();
+    if (decided.empty()) return;
+    for (std::size_t w = 0; w < decided.size(); ++w)
+      block[w] = net::to_decision_frame(window++, decided[w]);
+    out.clear();
+    net::encode_decision_block_into(std::span(block, decided.size()), out);
+    sent += out.size();
+  };
+  const auto ingest = [&] {
+    const net::SampleBatchShape shape =
+        net::scan_sample_batch(payload, kTiers, kDim);
+    ASSERT_EQ(shape.mismatch, nullptr);
+    net::SampleBatchReader in(payload);
+    for (std::size_t k = 0; k < shape.ticks; ++k) {
+      in.next_tick();
+      for (std::size_t t = 0; t < kTiers; ++t) {
+        const net::SampleBatchReader::Slot slot = in.next_slot();
+        if (slot.present)
+          p.add_slot_le(t, slot.values);
+        else
+          p.mark_missing(t);
+      }
+      if (p.end_tick()) flush();
+    }
+    flush();
+    (void)p.take_counts();
+  };
+  for (int i = 0; i < 2; ++i) ingest();
+
+  long observed = -1;
+  {
+    AllocationGuard guard;
+    for (int i = 0; i < 8; ++i) ingest();
+    observed = alloc_count();
+  }
+  EXPECT_EQ(observed, 0) << "the fused ingest path allocated after warm-up";
+  EXPECT_GT(sent, 0u);
 }
 
 }  // namespace

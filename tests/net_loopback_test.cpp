@@ -936,7 +936,8 @@ TEST(NetLoopback, BatchDecisionsAndAckShareOneWrite) {
       const auto frame = raw::next_frame(fd, in, 5000);
       ASSERT_TRUE(frame) << "no ACK for batch " << batch.batch_seq;
       if (frame->type == net::FrameType::kDecision) {
-        ++decisions;
+        decisions += static_cast<std::uint32_t>(
+            net::decode_decision_block(frame->payload).count);
         continue;
       }
       ASSERT_EQ(frame->type, net::FrameType::kAck);
@@ -985,8 +986,12 @@ TEST(NetLoopback, AcksNeverOvertakeTheirDecisions) {
     const auto frame = raw::next_frame(fd, in, 5000);
     ASSERT_TRUE(frame) << "stream ended at ACK seq " << last_seq;
     if (frame->type == net::FrameType::kDecision) {
-      EXPECT_EQ(net::decode_decision(frame->payload).window_index, decisions);
-      ++decisions;
+      const net::DecisionBlock block =
+          net::decode_decision_block(frame->payload);
+      for (const auto& d : block.decisions()) {
+        EXPECT_EQ(d.window_index, decisions);
+        ++decisions;
+      }
       continue;
     }
     ASSERT_EQ(frame->type, net::FrameType::kAck);

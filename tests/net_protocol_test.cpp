@@ -1,7 +1,7 @@
 // Wire-protocol unit tests: encode/decode round trips for every frame
 // type, golden little-endian byte layouts (so the format is pinned, not
 // just self-consistent), CRC-32 integrity on every frame, malformed-input
-// rejection (the retired v1 header included), and incremental stream
+// rejection (the retired v1 and v2 headers included), and incremental stream
 // assembly.
 // The decode paths must throw ProtocolError on any hostile input —
 // truncation, oversized counts, trailing garbage, checksum damage — and
@@ -29,19 +29,19 @@ Bytes payload_of(const Bytes& frame) {
   return Bytes(frame.begin() + kHeaderSize, frame.end() - kCrcSize);
 }
 
-TEST(NetProtocol, GoldenHeaderLayoutV2CarriesCrcTrailer) {
+TEST(NetProtocol, GoldenHeaderLayoutV3CarriesCrcTrailer) {
   const Bytes frame = encode_stats_request();
   ASSERT_EQ(frame.size(), kHeaderSize + kCrcSize);
   // magic 0x48504341 little-endian = "ACPH" on the wire.
   const Bytes head = {0x41, 0x43, 0x50, 0x48,  // magic
-                      0x02,                    // version
+                      0x03,                    // version
                       0x04,                    // type = STATS
                       0x00, 0x00,              // reserved
                       0x00, 0x00, 0x00, 0x00}; // payload_size
   EXPECT_EQ(Bytes(frame.begin(), frame.begin() + kHeaderSize), head);
   // Little-endian CRC-32 over header + payload, pinned as literal bytes
   // (zlib.crc32 of the 12 header bytes) so a wrong checksum cannot hide.
-  const Bytes trailer = {0x27, 0x46, 0x8d, 0xf5};
+  const Bytes trailer = {0xb9, 0x46, 0x27, 0x39};
   EXPECT_EQ(Bytes(frame.end() - kCrcSize, frame.end()), trailer);
 }
 
@@ -112,7 +112,7 @@ TEST(NetProtocol, Crc32MatchesBitwiseReferenceAtKernelEdges) {
   }
 }
 
-TEST(NetProtocol, GoldenHelloRequestBytesV2) {
+TEST(NetProtocol, GoldenHelloRequestBytesV3) {
   HelloRequest req;
   req.agent = "a";
   req.level = "os";
@@ -122,7 +122,7 @@ TEST(NetProtocol, GoldenHelloRequestBytesV2) {
   req.resume_from_window = 0xA1B2C3D4u;
   const Bytes frame = encode_hello_request(req);
   const Bytes body = {
-      0x41, 0x43, 0x50, 0x48, 0x02, 0x01, 0x00, 0x00,  // header
+      0x41, 0x43, 0x50, 0x48, 0x03, 0x01, 0x00, 0x00,  // header
       0x1b, 0x00, 0x00, 0x00,                          // payload = 27
       0x01, 0x00, 0x00, 0x00, 'a',                     // str agent
       0x02, 0x00, 0x00, 0x00, 'o',  's',               // str level
@@ -134,7 +134,44 @@ TEST(NetProtocol, GoldenHelloRequestBytesV2) {
   ASSERT_EQ(frame.size(), body.size() + kCrcSize);
   EXPECT_EQ(Bytes(frame.begin(), frame.end() - kCrcSize), body);
   // Little-endian zlib.crc32(body), pinned as literal bytes.
-  const Bytes trailer = {0x12, 0x25, 0x7c, 0x4e};
+  const Bytes trailer = {0xda, 0x32, 0xe2, 0x81};
+  EXPECT_EQ(Bytes(frame.end() - kCrcSize, frame.end()), trailer);
+}
+
+TEST(NetProtocol, GoldenDecisionBlockBytesV3) {
+  DecisionFrame a;
+  a.window_index = 0x01020304u;
+  a.state = 1;
+  a.confident = 1;
+  a.hc = -13;
+  a.bottleneck_tier = 1;
+  DecisionFrame b;
+  b.window_index = 0x01020305u;
+  b.degraded = 1;
+  b.hc = 7;
+  b.bottleneck_tier = -1;
+  b.staleness = 3;
+  const DecisionFrame block[] = {a, b};
+  Bytes frame;
+  encode_decision_block_into(block, frame);
+  const Bytes body = {
+      0x41, 0x43, 0x50, 0x48, 0x03, 0x03, 0x00, 0x00,  // header, DECISION
+      0x26, 0x00, 0x00, 0x00,                          // payload = 38
+      0x04, 0x03, 0x02, 0x01,                          // u32 first_window
+      0x02, 0x00,                                      // u16 count
+      0x01, 0x01, 0x00, 0x00,                          // state..reserved
+      0xf3, 0xff, 0xff, 0xff,                          // i32 hc = -13
+      0x01, 0x00, 0x00, 0x00,                          // i32 bottleneck
+      0x00, 0x00, 0x00, 0x00,                          // i32 staleness
+      0x00, 0x00, 0x01, 0x00,                          // record 2
+      0x07, 0x00, 0x00, 0x00,                          //
+      0xff, 0xff, 0xff, 0xff,                          //
+      0x03, 0x00, 0x00, 0x00,                          //
+  };
+  ASSERT_EQ(frame.size(), body.size() + kCrcSize);
+  EXPECT_EQ(Bytes(frame.begin(), frame.end() - kCrcSize), body);
+  // Little-endian zlib.crc32(body), pinned as literal bytes.
+  const Bytes trailer = {0x84, 0xc4, 0x72, 0xea};
   EXPECT_EQ(Bytes(frame.end() - kCrcSize, frame.end()), trailer);
 }
 
@@ -234,6 +271,60 @@ TEST(NetProtocol, DecisionRoundTrip) {
   EXPECT_EQ(back.hc, d.hc);
   EXPECT_EQ(back.bottleneck_tier, d.bottleneck_tier);
   EXPECT_EQ(back.staleness, d.staleness);
+}
+
+TEST(NetProtocol, DecisionBlockRoundTripAndBounds) {
+  std::vector<DecisionFrame> block(kMaxDecisionBlock);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i].window_index = 1000 + static_cast<std::uint32_t>(i);
+    block[i].state = static_cast<std::uint8_t>(i % 2);
+    block[i].confident = static_cast<std::uint8_t>(i % 3 == 0);
+    block[i].degraded = static_cast<std::uint8_t>(i % 5 == 0);
+    block[i].hc = -static_cast<std::int32_t>(i);
+    block[i].bottleneck_tier = static_cast<std::int32_t>(i % 3) - 1;
+    block[i].staleness = static_cast<std::int32_t>(i * 7);
+  }
+  Bytes frame;
+  encode_decision_block_into(block, frame);
+  EXPECT_EQ(frame.size(), kHeaderSize + 6 +
+                              kMaxDecisionBlock * kDecisionRecordSize +
+                              kCrcSize);
+  const DecisionBlock back = decode_decision_block(payload_of(frame));
+  ASSERT_EQ(back.decisions().size(), block.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const DecisionFrame& d = back.decisions()[i];
+    EXPECT_EQ(d.window_index, block[i].window_index);
+    EXPECT_EQ(d.state, block[i].state);
+    EXPECT_EQ(d.confident, block[i].confident);
+    EXPECT_EQ(d.degraded, block[i].degraded);
+    EXPECT_EQ(d.hc, block[i].hc);
+    EXPECT_EQ(d.bottleneck_tier, block[i].bottleneck_tier);
+    EXPECT_EQ(d.staleness, block[i].staleness);
+  }
+  // A block of more than one record is not a single decision.
+  EXPECT_THROW(decode_decision(payload_of(frame)), ProtocolError);
+
+  // Encoding refuses an empty block, an oversized one, and windows that
+  // are not consecutive.
+  Bytes out;
+  EXPECT_THROW(encode_decision_block_into({}, out), ProtocolError);
+  block.push_back(block.back());
+  block.back().window_index += 1;
+  EXPECT_THROW(encode_decision_block_into(block, out), ProtocolError);
+  block.resize(2);
+  block[1].window_index += 1;
+  EXPECT_THROW(encode_decision_block_into(block, out), ProtocolError);
+
+  // Decoding refuses a count of 0 or above the block cap.
+  for (const std::uint16_t count :
+       {std::uint16_t{0},
+        static_cast<std::uint16_t>(kMaxDecisionBlock + 1)}) {
+    Bytes p;
+    put_u32(p, 0);
+    put_u16(p, count);
+    p.resize(p.size() + count * kDecisionRecordSize, 0);
+    EXPECT_THROW(decode_decision_block(p), ProtocolError) << count;
+  }
 }
 
 TEST(NetProtocol, AckRoundTripIsV2Only) {
@@ -371,11 +462,13 @@ TEST(NetProtocol, HeaderRejectsBadMagicVersionTypeReserved) {
   }
   {
     Bytes bad = good;
-    bad[4] = 3;  // future protocol version
+    bad[4] = 4;  // future protocol version
     EXPECT_THROW(peek_header(bad), ProtocolError);
     bad[4] = 0;  // below the only version
     EXPECT_THROW(peek_header(bad), ProtocolError);
     bad[4] = 1;  // the retired v1
+    EXPECT_THROW(peek_header(bad), ProtocolError);
+    bad[4] = 2;  // the retired v2 (one DECISION frame per window)
     EXPECT_THROW(peek_header(bad), ProtocolError);
   }
   {
@@ -496,7 +589,7 @@ TEST(NetProtocol, HostileCountsThrowBeforeAllocation) {
 
 TEST(NetProtocol, DecisionRejectsNonzeroReservedByte) {
   Bytes p = payload_of(encode_decision({}));
-  p[7] = 1;  // the u8 reserved slot after state/confident/degraded
+  p[9] = 1;  // record 0's reserved byte, after state/confident/degraded
   EXPECT_THROW(decode_decision(p), ProtocolError);
 }
 

@@ -265,8 +265,9 @@ struct RawConn {
     }
   }
 
-  // Collects `count` DECISION frames, skipping interleaved ACKs (the
-  // v2 daemon acknowledges batches on its own schedule).
+  // Collects `count` decisions from DECISION blocks, skipping
+  // interleaved ACKs (the daemon acknowledges batches on its own
+  // schedule).
   std::vector<DecisionFrame> read_decisions(std::size_t count) {
     std::vector<DecisionFrame> out;
     while (out.size() < count) {
@@ -279,7 +280,10 @@ struct RawConn {
       if (frame->type == FrameType::kAck) continue;
       EXPECT_EQ(static_cast<int>(frame->type),
                 static_cast<int>(FrameType::kDecision));
-      out.push_back(net::decode_decision(frame->payload));
+      const net::DecisionBlock block =
+          net::decode_decision_block(frame->payload);
+      out.insert(out.end(), block.decisions().begin(),
+                 block.decisions().end());
     }
     return out;
   }
@@ -468,7 +472,9 @@ std::vector<DecisionFrame> read_until_ack(RawConn& conn, std::uint64_t seq) {
     }
     EXPECT_EQ(static_cast<int>(frame->type),
               static_cast<int>(FrameType::kDecision));
-    out.push_back(net::decode_decision(frame->payload));
+    const net::DecisionBlock block =
+        net::decode_decision_block(frame->payload);
+    out.insert(out.end(), block.decisions().begin(), block.decisions().end());
   }
 }
 

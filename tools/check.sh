@@ -8,7 +8,9 @@
 #   fast (default) - default build: full ctest + bench-smoke + net labels
 #   full           - fast, plus -DHPCAP_TSAN=ON (ctest -L tsan),
 #                    -DHPCAP_ASAN=ON (ctest -L asan) and
-#                    -DHPCAP_UBSAN=ON (ctest -L ubsan) builds
+#                    -DHPCAP_UBSAN=ON (ctest -L ubsan) builds, and
+#                    perfbench's --self-check (every workload briefly,
+#                    its metric names and its decision oracle)
 #   lint           - static analysis only: build + run hpcap_lint
 #                    (self-test, then the whole tree, then once more as
 #                    --json for machine consumers), clang-tidy over src/
@@ -19,7 +21,7 @@
 # summary naming each leg that skipped instead of running (a missing
 # clang, a GTEST_SKIP) and why: a skipped gate is not a passing gate, but
 # it does not fail the script either. Build trees: build/, build-tsan/,
-# build-asan/, build-ubsan/ under the repo root.
+# build-asan/, build-ubsan/ and (full) .bench_build/ under the repo root.
 set -euo pipefail
 
 mode="${1:-fast}"
@@ -172,5 +174,14 @@ if [ "$mode" = "full" ]; then
   cmake -B "$root/build-ubsan" -S "$root" -DHPCAP_UBSAN=ON >/dev/null
   cmake --build "$root/build-ubsan" -j "$jobs"
   run_ctest "$root/build-ubsan" -L ubsan
+
+  # A wire change that breaks the benchmark's agents or its oracle fails
+  # here rather than in the next benchmark run.
+  step "perfbench --self-check (builds into .bench_build/ unless CARGO_TARGET_DIR is set)"
+  if command -v python3 >/dev/null 2>&1; then
+    (cd "$root" && python3 perfbench/run.py --self-check)
+  else
+    skip "perfbench (check.sh full): python3 not installed"
+  fi
 fi
 
